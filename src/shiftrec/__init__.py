@@ -37,7 +37,6 @@ from .measure import (
     ClopenSet,
     PrefixFreeWordSet,
     StagedCoEnumeration,
-    complement_clopen,
     is_prefix_free,
     measure_open,
     prefix_reduce,
@@ -47,8 +46,6 @@ from .measure import (
 from .mltest import (
     MLConstruction,
     MLRunResult,
-    check_prefix_free,
-    ml_enumerate_C,
     ml_enumerate_G,
     ml_escape_level,
     ml_measure_bound,
@@ -59,23 +56,19 @@ from .mltest import (
 from .multidim import (
     ArrayClopenSet,
     ArraySample,
-    ArrayStagedCoEnumeration,
     ExplicitGridSource,
     GridMLConstruction,
     GridSource,
     SeededGridSource,
     array_measure_open,
     arrays_prefix_free,
-    crop,
     face_shift,
     flatten_coenum,
     flatten_sample,
     flattened_source,
     grid_find_witness,
     grid_kurtz_stage_set,
-    grid_ml_enumerate_C,
     pair_index,
-    prefix_reduce_arrays,
     unpair_index,
 )
 from .recurrence import (

@@ -1,9 +1,10 @@
 """Measure-bounded word-set certificates and their JSON round trip.
 
-A certificate packages one enumerated test component: the words (or grid
-samples) it has produced, the exact measure of the open set they generate,
-and the bound the construction promises.  A certificate whose measure
-exceeds its bound indicates a construction bug, never a legitimate run.
+A certificate packages one enumerated test component: the words (or the
+shell words of grid samples) it has produced, the exact measure of the open
+set they generate, and the bound the construction promises.  A certificate
+whose measure exceeds its bound indicates a construction bug, never a
+legitimate run.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ class TestCertificate:
 
     kind: str
     parameters: dict[str, Any]
-    words: tuple  # Words (space == "bits") or ArraySamples (space == "grid")
+    words: tuple  # Words; a grid certificate holds the shell words of its cube samples
     exact_measure: Dyadic
     required_bound: Dyadic
     stage_budget: int
     space: str = "bits"
-    escape_level: int | None = None
 
     @property
     def passes(self) -> bool:
@@ -41,7 +41,11 @@ class TestCertificate:
         if self.space == "bits":
             words = [str(w) for w in self.words]
         else:
-            words = [{"size": a.size, "bits": a.bit_string()} for a in self.words]
+            from .multidim import row_major_bits
+
+            dim = int(self.parameters["dimension"])
+            samples = sorted(row_major_bits(dim, w) for w in self.words)
+            words = [{"size": size, "bits": bits} for size, bits in samples]
         return {
             "kind": self.kind,
             "space": self.space,
@@ -50,7 +54,6 @@ class TestCertificate:
             "exact_measure": str(self.exact_measure),
             "required_bound": str(self.required_bound),
             "stage_budget": self.stage_budget,
-            "escape_level": self.escape_level,
             "pass": self.passes,
         }
 
@@ -60,12 +63,11 @@ class TestCertificate:
         if space == "bits":
             words = tuple(Word.from_string(w) for w in data["words"])
         else:
-            from .multidim import ArraySample
+            from .multidim import shell_word
 
             dim = int(data["parameters"]["dimension"])
-            words = tuple(
-                ArraySample.from_bit_string(dim, int(w["size"]), w["bits"])
-                for w in data["words"]
+            words = sorted_words(
+                shell_word(dim, int(w["size"]), w["bits"]) for w in data["words"]
             )
         return cls(
             kind=data["kind"],
@@ -75,30 +77,23 @@ class TestCertificate:
             required_bound=Dyadic.from_string(data["required_bound"]),
             stage_budget=int(data["stage_budget"]),
             space=space,
-            escape_level=data.get("escape_level"),
         )
 
 
 def new_certificate(
     kind: str,
     parameters: dict[str, Any],
-    words: Iterable,
+    words: Iterable[Word],
     exact_measure: Dyadic,
     required_bound: Dyadic,
     stage_budget: int,
     space: str = "bits",
-    escape_level: int | None = None,
 ) -> TestCertificate:
     """Build a certificate, refusing to emit one that violates its bound."""
     if kind not in KINDS:
         raise ValueError(f"unknown certificate kind: {kind!r}")
-    if space == "bits":
-        words = sorted_words(words)
-    else:
-        words = tuple(sorted(words, key=lambda a: (a.size, a.bits)))
     cert = TestCertificate(
-        kind, parameters, words, exact_measure, required_bound, stage_budget,
-        space=space, escape_level=escape_level,
+        kind, parameters, sorted_words(words), exact_measure, required_bound, stage_budget, space
     )
     if not cert.passes:
         raise BoundViolationError(
@@ -111,20 +106,13 @@ def new_certificate(
 def verify_certificate(cert: TestCertificate) -> list[str]:
     """Re-check a certificate from its own words; returns the list of problems."""
     problems: list[str] = []
-    if cert.space == "bits":
-        recomputed = measure_open(cert.words)
-        if not is_prefix_free(cert.words):
-            problems.append("word set is not prefix-free")
-        if cert.kind.startswith("ml-") and any(
-            w.length > cert.stage_budget for w in cert.words
-        ):
-            problems.append("a word is longer than the stage budget")
-    else:
-        from .multidim import array_measure_open, arrays_prefix_free
-
-        recomputed = array_measure_open(cert.words)
-        if not arrays_prefix_free(cert.words):
-            problems.append("sample set is not prefix-free under restriction")
+    recomputed = measure_open(cert.words)
+    if not is_prefix_free(cert.words):
+        problems.append("word set is not prefix-free")
+    # A stage-t word of a k-dimensional certificate has length t**k.
+    longest = cert.stage_budget ** int(cert.parameters.get("dimension", 1))
+    if cert.kind.startswith("ml-") and any(w.length > longest for w in cert.words):
+        problems.append("a word is longer than the stage budget")
     if recomputed != cert.exact_measure:
         problems.append(
             f"stated measure {cert.exact_measure} differs from recomputed {recomputed}"

@@ -35,11 +35,10 @@ from .mltest import ml_escape_level, ml_run
 from .multidim import (
     ArrayClopenSet,
     ArraySample,
-    ArrayStagedCoEnumeration,
+    GridMLConstruction,
     SeededGridSource,
     grid_find_witness,
     grid_kurtz_stage_set,
-    grid_ml_enumerate_C,
 )
 from .recurrence import (
     Pi01Target,
@@ -110,21 +109,21 @@ def _load_class_file(path: str):
     raise ValueError(f"unrecognized class file (first line {first!r})")
 
 
-def _array_coenum_from_text(text: str) -> ArrayStagedCoEnumeration:
+def _array_coenum_from_text(text: str) -> StagedCoEnumeration:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines[0].startswith("dimension"):
         raise ValueError("array co-enumeration must start with 'dimension <k>'")
     dim = int(lines[0].split()[1])
-    stages: dict[int, set[ArraySample]] = {}
+    stages: dict[int, set[Word]] = {}
     for ln in lines[1:]:
         if not ln.startswith("stage"):
             raise ValueError(f"bad array co-enumeration line: {ln!r}")
         head, _, rest = ln.partition(":")
         t = int(head.split()[1])
         stages.setdefault(t, set()).update(
-            ArraySample.from_bit_string(dim, t, tok) for tok in rest.split()
+            ArraySample.from_bit_string(dim, t, tok).word() for tok in rest.split()
         )
-    return ArrayStagedCoEnumeration(stages, dimension=dim)
+    return StagedCoEnumeration(stages, dimension=dim)
 
 
 def _resolve_target(args):
@@ -134,10 +133,10 @@ def _resolve_target(args):
         loaded = _load_class_file(args.class_file)
         if isinstance(loaded, ClopenSet):
             return loaded
-        if isinstance(loaded, StagedCoEnumeration):
-            budget = args.stage_max if args.stage_max is not None else loaded.max_stage
-            return Pi01Target(loaded, budget)
-        raise ValueError("grid class files only apply to the grid subcommand")
+        if loaded.dimension != 1:
+            raise ValueError("grid class files only apply to the grid subcommand")
+        budget = args.stage_max if args.stage_max is not None else loaded.max_stage
+        return Pi01Target(loaded, budget)
     raise ValueError("no target given: use --clopen or --class-file")
 
 
@@ -147,10 +146,10 @@ def _resolve_coenum(args) -> StagedCoEnumeration:
         return StagedCoEnumeration.from_words(clopen.complement().words)
     if getattr(args, "class_file", None):
         loaded = _load_class_file(args.class_file)
-        if isinstance(loaded, StagedCoEnumeration):
-            return loaded
         if isinstance(loaded, ClopenSet):
             return StagedCoEnumeration.from_words(loaded.complement().words)
+        if loaded.dimension == 1:
+            return loaded
     raise ValueError("no co-enumeration given: use --class-file or --clopen")
 
 
@@ -322,11 +321,12 @@ def _cmd_grid(args) -> int:
         if not args.class_file:
             raise ValueError("grid ml needs --class-file with an array co-enumeration")
         coenum = _load_class_file(args.class_file)
-        if not isinstance(coenum, ArrayStagedCoEnumeration):
+        if not isinstance(coenum, StagedCoEnumeration):
             raise ValueError("grid ml needs an array co-enumeration class file")
         stage_max = args.stage_max if args.stage_max is not None else 5
         r_max = args.r if args.r is not None else 1
-        certs = [grid_ml_enumerate_C(coenum, r, stage_max) for r in range(r_max + 1)]
+        con = GridMLConstruction(coenum, stage_max)
+        certs = [con.level_certificate(r) for r in range(r_max + 1)]
         payload = {
             "subcommand": "grid",
             "op": "ml",
@@ -444,9 +444,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
+    flags = set(vars(args)) - {"command", "func"}
     for key, value in conf.items():
         dest = key.replace("-", "_")
-        if getattr(args, dest, None) is None:
+        if dest not in flags:
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        if getattr(args, dest) is None:
             setattr(args, dest, value)
 
 

@@ -87,7 +87,11 @@ def kurtz_stage_set(
             f"stage set needs all 2^{length} words, beyond the budget of "
             f"{enumeration_budget} configurations"
         )
-    assert schedule.blocks_disjoint_through(t)
+    if not schedule.blocks_disjoint_through(t):
+        raise BoundViolationError(
+            f"stage blocks through t = {t} overlap, so the survivor measure is not "
+            "the product (1-p^k)^(t+1)"
+        )
     stage_starts = [
         [start for start, _ in schedule.blocks(u)] for u in range(t + 1)
     ]

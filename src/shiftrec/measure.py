@@ -5,6 +5,11 @@ prefix reduction the cylinders are pairwise disjoint, so every measure here
 is an exact dyadic sum of powers of two.  Effectively closed sets are kept
 as staged co-enumerations of their complements, the convention being that a
 word delivered at stage ``t`` has length exactly ``t``.
+
+Grid samples of dimension ``k`` are words too: a size-``n`` cube is read in
+shell order (see :mod:`shiftrec.multidim`), which makes it a word of length
+``n**k`` whose first ``m**k`` bits are its size-``m`` sub-cube.  Everything
+here therefore serves grids unchanged.
 """
 
 from __future__ import annotations
@@ -185,17 +190,14 @@ class ClopenSet:
         return cls(granularity, (Word.from_string(ln) for ln in lines[1:]))
 
 
-def complement_clopen(clopen: ClopenSet) -> ClopenSet:
-    return clopen.complement()
-
-
 class StagedCoEnumeration:
     """Stage-indexed growing word set (the enumerated complement of a closed set).
 
-    A word delivered at stage ``t`` has length exactly ``t``.  With finite
-    support the tail measure past any stage is computed exactly; an
-    infinite-support enumeration instead supplies ``tail_modulus``, an upper
-    bound on the measure of the part not yet delivered.
+    A word delivered at stage ``t`` has length exactly ``t**dimension``: in
+    dimension one a word, otherwise the shell word of a size-``t`` cube.
+    With finite support the tail measure past any stage is computed exactly;
+    an infinite-support enumeration instead supplies ``tail_modulus``, an
+    upper bound on the measure of the part not yet delivered.
     """
 
     def __init__(
@@ -203,7 +205,10 @@ class StagedCoEnumeration:
         stages: Mapping[int, _WordIter],
         tail_modulus: Callable[[int], Dyadic] | None = None,
         support_bound: int | None = None,
+        dimension: int = 1,
     ):
+        if dimension < 1:
+            raise ValueError("dimension must be at least 1")
         clean: dict[int, frozenset[Word]] = {}
         for t, words in stages.items():
             ws = frozenset(words)
@@ -212,9 +217,12 @@ class StagedCoEnumeration:
             if t < 1:
                 raise ValueError(f"stage {t} is not a positive integer")
             for w in ws:
-                if w.length != t:
-                    raise ValueError(f"word {w} delivered at stage {t} must have length {t}")
+                if w.length != t**dimension:
+                    raise ValueError(
+                        f"word {w} delivered at stage {t} must have length {t**dimension}"
+                    )
             clean[t] = ws
+        self.dimension = dimension
         self._stages = dict(sorted(clean.items()))
         self._custom_modulus = tail_modulus
         if tail_modulus is None:
@@ -281,15 +289,16 @@ class StagedCoEnumeration:
             {t: ws - dropset for t, ws in self._stages.items()},
             tail_modulus=self._custom_modulus,
             support_bound=self.support_bound,
+            dimension=self.dimension,
         )
 
     def __eq__(self, other):
         if isinstance(other, StagedCoEnumeration):
-            return self._stages == other._stages
+            return (self.dimension, self._stages) == (other.dimension, other._stages)
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple((t, ws) for t, ws in self._stages.items()))
+        return hash((self.dimension, tuple(self._stages.items())))
 
     def __repr__(self):
         parts = ", ".join(

@@ -19,16 +19,21 @@ When ``q = k * (measure of the enumerated complement)`` is below one, level
 a finite head ``D`` and a light tail; the escape sets ``G_m`` count how many
 chain stages consumed a head word, and the refined levels re-run the chain
 on the tail alone, restoring a geometric measure decay.
+
+The level loop also builds grid levels over shell words:
+:class:`shiftrec.multidim.GridMLConstruction` overrides only the first
+admissible stage, the block offset and where a witnessing block's bits sit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .bitseq import EMPTY_WORD, Word
 from .certificates import TestCertificate, new_certificate
-from .dyadic import D_ONE, Dyadic, half_power
+from .dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from .errors import BudgetExceededError, InapplicableBoundError
 from .measure import (
     StagedCoEnumeration,
@@ -70,51 +75,57 @@ class MLConstruction:
             self._levels.append(self._build_level(self._levels[-1]))
         return self._levels[r]
 
+    def _first_stage(self, s: int) -> int:
+        """Earliest stage at which a child of a stage-s parent can enter."""
+        return (self.k + 1) * s + 1
+
+    def _offset(self, s: int, i: int) -> int:
+        """Where the i-th shifted block of a stage-s parent starts."""
+        return i * s
+
+    def _tau_positions(self, s: int, i: int, t: int, tau: Word) -> range:
+        """Positions, in a stage-t word, of the bits of a witnessing word tau."""
+        start = self._offset(s, i)
+        return range(start, start + tau.length)
+
     def _build_level(self, parents: dict[Word, int]) -> dict[Word, int]:
         entries: dict[Word, int] = {}
-        entered_lengths: list[int] = []
+        entered: dict[int, set[int]] = {}  # word length -> values entered at it
         generated = 0
-        k = self.k
         for t in range(1, self.stage_max + 1):
-            found: set[Word] = set()
+            length = t**self.coenum.dimension
+            found: set[int] = set()
             for sigma, s in parents.items():
-                first_stage = (k + 1) * s + 1
+                first_stage = self._first_stage(s)
                 if t < first_stage:
                     continue
-                for i in range(1, k + 1):
-                    si = i * s
-                    if si >= t:
+                for i in range(1, self.k + 1):
+                    offset = self._offset(s, i)
+                    if offset >= t:
                         continue
                     if t == first_stage:
                         # Earliest admissible stage: any already-enumerated
-                        # word can witness, padded with free tail bits.
-                        taus = self.coenum.cumulative(t - si)
+                        # word can witness, padded with free bits.
+                        taus = self.coenum.cumulative(t - offset)
                     else:
                         # Later stages only add words whose witnessing block
                         # ends exactly at t; shorter blocks were already
                         # minimal at an earlier admissible stage.
-                        taus = self.coenum.newly(t - si)
+                        taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        mid_bits = si - s
-                        tail_bits = t - si - tau.length
-                        generated += 1 << (mid_bits + tail_bits)
+                        generated += 1 << (length - sigma.length - tau.length)
                         if generated > self.candidate_budget:
                             raise BudgetExceededError(
                                 f"level enumeration exceeded {self.candidate_budget} candidates"
                             )
-                        for mid in range(1 << mid_bits):
-                            head = ((sigma.value << mid_bits) | mid) << tau.length | tau.value
-                            for tail in range(1 << tail_bits):
-                                w = Word((head << tail_bits) | tail, t)
-                                if w in found:
-                                    continue
-                                if any(w.take(l) in entries for l in entered_lengths):
-                                    continue
-                                found.add(w)
+                        at = self._tau_positions(s, i, t, tau)
+                        batch = set(_extensions(sigma, tau, at, length)) - found
+                        for l, values in entered.items():
+                            batch = {v for v in batch if v >> (length - l) not in values}
+                        found |= batch
             if found:
-                for w in found:
-                    entries[w] = t
-                entered_lengths.append(t)
+                entered[length] = found
+                entries.update((Word(v, length), t) for v in found)
         return entries
 
     def levels_until_empty(self, hard_cap: int = 64) -> int:
@@ -133,33 +144,38 @@ class MLConstruction:
         return acc
 
     def level_certificate(self, r: int) -> TestCertificate:
+        return self._level_certificate(r, {"k": self.k})
+
+    def _level_certificate(
+        self, r: int, parameters: dict, space: str = "bits"
+    ) -> TestCertificate:
         q = self.q
         bound = q**r if q < D_ONE else D_ONE
         words = tuple(self.level(r))
         return new_certificate(
             kind="ml-Cr",
-            parameters={"k": self.k, "r": r, "q": str(q)},
+            parameters={**parameters, "r": r, "q": str(q)},
             words=words,
             exact_measure=measure_open(words),
             required_bound=bound,
             stage_budget=self.stage_max,
+            space=space,
         )
 
 
-def ml_enumerate_C(
-    coenum: StagedCoEnumeration, k: int, r: int, stage_max: int
-) -> TestCertificate:
-    """Level-r certificate; convenience wrapper over :class:`MLConstruction`."""
-    return MLConstruction(coenum, k, stage_max).level_certificate(r)
-
-
-def check_prefix_free(cert: TestCertificate) -> bool:
-    """Pairwise prefix-incomparability scan over a certificate's word set."""
-    if cert.space != "bits":
-        from .multidim import arrays_prefix_free
-
-        return arrays_prefix_free(cert.words)
-    return is_prefix_free(cert.words)
+def _extensions(sigma: Word, tau: Word, tau_at: Sequence[int], length: int) -> list[int]:
+    """Values of every length-``length`` word that starts with ``sigma`` and
+    carries ``tau``'s bits at positions ``tau_at``; the other bits are free."""
+    value = sigma.value << (length - sigma.length)
+    for p, b in zip(tau_at, tau.bits()):
+        value |= b << (length - 1 - p)
+    values = [value]
+    fixed = set(tau_at)
+    for p in range(sigma.length, length):
+        if p not in fixed:
+            bit = 1 << (length - 1 - p)
+            values += [v | bit for v in values]
+    return values
 
 
 def ml_measure_bound(cert: TestCertificate, q: Dyadic, r: int) -> bool:
@@ -335,7 +351,8 @@ def ml_test_refinement(
     """Re-index refined levels so that level j has measure at most 2**-j.
 
     Level j uses the least u with ``q**u <= 2**-j``; levels beyond the
-    deepest available refined certificate are omitted.
+    deepest available refined certificate are omitted.  With ``q == 0``
+    every level ``j >= 1`` uses u = 1, so the levels stop after j = 1.
     """
     if q >= D_ONE:
         raise ValueError("refinement requires q < 1")
@@ -356,6 +373,8 @@ def ml_test_refinement(
                 "re-run the refinement from base level 0"
             )
         levels.append(RefinementLevel(j, u, cert, half_power(j)))
+        if q == D_ZERO and u == 1:
+            break
         j += 1
     return levels
 

@@ -2,20 +2,27 @@
 
 Finite observations are cube samples (size-n maps on {0..n-1}^k); the
 "prefix" order is restriction to a leading sub-cube, and the cylinder above
-a size-n sample has measure ``2**-(n**k)``.  The survivor and level-set
-certificates mirror their one-dimensional counterparts, with face removal
-in place of the tail map.  Co-enumerations with computable measure are not
-re-implemented here: :func:`flatten_coenum` and :func:`flattened_source`
-carry grids to one dimension through the graded diagonal bijection, where
-the scheduled error-set machinery applies unchanged.
+a size-n sample has measure ``2**-(n**k)``.
+
+Read in shell order -- cells ordered by their largest coordinate, then
+row-major -- every size-m sub-cube is the first ``m**k`` cells of the cube.
+A size-n sample is therefore a word of length ``n**k`` (its *shell word*),
+restriction is :meth:`Word.take`, and the open sets, staged
+co-enumerations and level loop of the one-dimensional modules serve grids
+unchanged.  :class:`ArraySample` remains the input/output type and the type
+of witness search.  Co-enumerations with computable measure are carried to
+one dimension by :func:`flatten_coenum` and :func:`flattened_source` through
+the graded diagonal bijection, where the scheduled error-set machinery
+applies unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -23,9 +30,70 @@ from .bitseq import SequenceSource, Word, _GAMMA, _mix64
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError, BudgetExceededError, InsufficientDataError
-from .measure import StagedCoEnumeration
+from .measure import StagedCoEnumeration, is_prefix_free, measure_open
+from .mltest import MLConstruction
 
 _SampleIter = Iterable["ArraySample"]
+
+
+# --- the shell order ------------------------------------------------------------
+
+
+@cache
+def _shell_cells(dimension: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Cells of the size-n cube in shell order: by largest coordinate, then
+    row-major.  The size-m sub-cube is always the first ``m**k`` of them."""
+    return tuple(sorted(product(range(size), repeat=dimension), key=lambda v: (max(v), v)))
+
+
+@cache
+def _shell_rank(dimension: int, size: int) -> tuple[int, ...]:
+    """Shell position of each cell of the size-n cube, in row-major order."""
+    index = {v: p for p, v in enumerate(_shell_cells(dimension, size))}
+    return tuple(index[v] for v in product(range(size), repeat=dimension))
+
+
+@cache
+def _shifted_block(
+    dimension: int, size: int, block: int, axis: int, offset: int
+) -> tuple[int, ...]:
+    """Shell positions, in the size-n cube, of the size-b sub-cube moved
+    ``offset`` cells along ``axis``, listed in the sub-cube's shell order."""
+    index = {v: p for p, v in enumerate(_shell_cells(dimension, size))}
+    moved = []
+    for u in _shell_cells(dimension, block):
+        v = list(u)
+        v[axis] += offset
+        moved.append(index[tuple(v)])
+    return tuple(moved)
+
+
+def _cube_side(cells: int, dimension: int) -> int:
+    side = round(cells ** (1 / dimension))
+    if side**dimension != cells:
+        raise ValueError(f"{cells} bits do not fill a cube in dimension {dimension}")
+    return side
+
+
+def shell_word(dimension: int, size: int, bits: str) -> Word:
+    """Shell word of the size-n sample whose row-major bit string is ``bits``."""
+    rank = _shell_rank(dimension, size)
+    if len(bits) != len(rank) or set(bits) - {"0", "1"}:
+        raise ValueError(
+            f"size-{size} sample in dimension {dimension} needs {len(rank)} bits, "
+            f"got {bits!r}"
+        )
+    shell = [""] * len(rank)
+    for b, p in zip(bits, rank):
+        shell[p] = b
+    return Word.from_string("".join(shell))
+
+
+def row_major_bits(dimension: int, word: Word) -> tuple[int, str]:
+    """Size and row-major bit string of the sample whose shell word is ``word``."""
+    size = _cube_side(word.length, dimension)
+    text = word.to_string()
+    return size, "".join([text[p] for p in _shell_rank(dimension, size)])
 
 
 @dataclass(frozen=True)
@@ -59,6 +127,15 @@ class ArraySample:
     @classmethod
     def from_bit_string(cls, dimension: int, size: int, text: str) -> "ArraySample":
         return cls(dimension, size, tuple(int(c) for c in text))
+
+    @classmethod
+    def from_word(cls, dimension: int, word: Word) -> "ArraySample":
+        """The sample whose shell word is ``word``; inverse of :meth:`word`."""
+        return cls.from_bit_string(dimension, *row_major_bits(dimension, word))
+
+    def word(self) -> Word:
+        """The bits in shell order; restricting to size m takes the first m**k."""
+        return shell_word(self.dimension, self.size, self.bit_string())
 
     def _flat(self, coords: tuple[int, ...]) -> int:
         idx = 0
@@ -126,10 +203,6 @@ class ArraySample:
             raise ValueError("sample text must start with 'k <dim> n <size>'")
         dim, size = int(head[1]), int(head[3])
         return cls.from_bit_string(dim, size, "".join(lines[1:]))
-
-
-def crop(sample: ArraySample, i: int, s: int) -> ArraySample:
-    return sample.crop(i, s)
 
 
 def all_samples(dimension: int, size: int) -> Iterator[ArraySample]:
@@ -217,46 +290,12 @@ def face_shift(grid: GridSource, i: int, s: int) -> GridSource:
 
 
 def arrays_prefix_free(samples: _SampleIter) -> bool:
-    pool = frozenset(samples)
-    sizes = sorted({a.size for a in pool})
-    smaller: list[int] = []
-    for size in sizes:
-        for a in pool:
-            if a.size != size:
-                continue
-            if any(a.restrict(m) in pool for m in smaller):
-                return False
-        smaller.append(size)
-    return True
-
-
-def prefix_reduce_arrays(samples: _SampleIter) -> frozenset[ArraySample]:
-    pool = frozenset(samples)
-    kept: set[ArraySample] = set()
-    kept_sizes: list[int] = []
-    for size in sorted({a.size for a in pool}):
-        new = [
-            a
-            for a in pool
-            if a.size == size and not any(a.restrict(m) in kept for m in kept_sizes)
-        ]
-        if new:
-            kept.update(new)
-            kept_sizes.append(size)
-    return frozenset(kept)
+    return is_prefix_free(a.word() for a in samples)
 
 
 def array_measure_open(samples: _SampleIter) -> Dyadic:
     """Exact measure of the union of sample cylinders."""
-    reduced = prefix_reduce_arrays(samples)
-    if not reduced:
-        return Dyadic(0)
-    top = max(a.cell_count for a in reduced)
-    return Dyadic(sum(1 << (top - a.cell_count) for a in reduced), top)
-
-
-def sorted_samples(samples: _SampleIter) -> tuple[ArraySample, ...]:
-    return tuple(sorted(samples, key=lambda a: (a.size, a.bits)))
+    return measure_open(a.word() for a in samples)
 
 
 class ArrayClopenSet:
@@ -293,61 +332,6 @@ class ArrayClopenSet:
         return sample.restrict(self.size) in self.samples
 
 
-class ArrayStagedCoEnumeration:
-    """Staged enumeration of grid samples; the stage-t batch has size t."""
-
-    def __init__(self, stages: Mapping[int, _SampleIter], dimension: int | None = None):
-        clean: dict[int, frozenset[ArraySample]] = {}
-        dim = dimension
-        for t, samples in stages.items():
-            ss = frozenset(samples)
-            if not ss:
-                continue
-            if t < 1:
-                raise ValueError(f"stage {t} is not a positive integer")
-            for a in ss:
-                if a.size != t:
-                    raise ValueError(f"sample of size {a.size} delivered at stage {t}")
-                if dim is None:
-                    dim = a.dimension
-                elif a.dimension != dim:
-                    raise ValueError("mixed dimensions in one co-enumeration")
-            clean[t] = ss
-        self._stages = dict(sorted(clean.items()))
-        self.dimension = dim
-        self._cumulative: dict[int, frozenset[ArraySample]] = {}
-
-    @classmethod
-    def from_samples(cls, samples: _SampleIter) -> "ArrayStagedCoEnumeration":
-        stages: dict[int, set[ArraySample]] = {}
-        for a in samples:
-            stages.setdefault(a.size, set()).add(a)
-        return cls(stages)
-
-    @property
-    def max_stage(self) -> int:
-        return max(self._stages, default=0)
-
-    def newly(self, t: int) -> frozenset[ArraySample]:
-        return self._stages.get(t, frozenset())
-
-    def cumulative(self, t: int) -> frozenset[ArraySample]:
-        key = max((s for s in self._stages if s <= t), default=0)
-        if key not in self._cumulative:
-            acc: set[ArraySample] = set()
-            for s, ss in self._stages.items():
-                if s <= key:
-                    acc |= ss
-            self._cumulative[key] = frozenset(acc)
-        return self._cumulative[key]
-
-    def words(self) -> frozenset[ArraySample]:
-        return self.cumulative(self.max_stage)
-
-    def measure(self) -> Dyadic:
-        return array_measure_open(self.words())
-
-
 # --- recurrence and certificates ------------------------------------------------
 
 
@@ -363,13 +347,6 @@ def grid_find_witness(grid: GridSource, target: ArrayClopenSet, n_max: int) -> i
         ):
             return n
     return None
-
-
-def _cube_flat(coords: tuple[int, ...], size: int) -> int:
-    idx = 0
-    for c in coords:
-        idx = idx * size + c
-    return idx
 
 
 def grid_kurtz_stage_set(
@@ -392,21 +369,12 @@ def grid_kurtz_stage_set(
             f"stage set needs all 2^{total} cubes, beyond the budget of "
             f"{enumeration_budget} configurations"
         )
-    block_cells: list[list[list[int]]] = []  # [stage][direction] -> flat cells
-    for stage in range(1, r + 1):
-        per_dir = []
-        for i in range(1, k + 1):
-            cells = []
-            for v in product(range(n1), repeat=k):
-                coords = list(v)
-                coords[i - 1] += stage * n1
-                cells.append(_cube_flat(tuple(coords), bound_size))
-            per_dir.append(cells)
-        block_cells.append(per_dir)
-    members = np.asarray(
-        sorted(int("".join(map(str, a.bits)), 2) if a.bits else 0 for a in target.samples),
-        dtype=np.int64,
-    )
+    # [stage][direction] -> shell positions of the examined block
+    block_cells = [
+        [_shifted_block(k, bound_size, n1, axis, stage * n1) for axis in range(k)]
+        for stage in range(1, r + 1)
+    ]
+    members = np.asarray(sorted(a.word().value for a in target.samples), dtype=np.int64)
     block_bits = n1**k
     survivors: list[int] = []
     chunk = 1 << 20
@@ -428,12 +396,6 @@ def grid_kurtz_stage_set(
         raise BoundViolationError(
             f"grid survivor measure {exact} differs from (1-p^k)^r = {formula}"
         )
-    samples = (
-        ArraySample(
-            k, bound_size, tuple((v >> (total - 1 - f)) & 1 for f in range(total))
-        )
-        for v in survivors
-    )
     return new_certificate(
         kind="kurtz-stage",
         parameters={
@@ -443,7 +405,7 @@ def grid_kurtz_stage_set(
             "shifts": [stage * n1 for stage in range(1, r + 1)],
             "product_exact": True,
         },
-        words=samples,
+        words=(Word(v, total) for v in survivors),
         exact_measure=exact,
         required_bound=formula,
         stage_budget=r,
@@ -451,113 +413,33 @@ def grid_kurtz_stage_set(
     )
 
 
-class GridMLConstruction:
-    """Grid levels: entries of size t extend a parent of size s with t > 2s and
-    some face-cropped block extending a complement sample enumerated by t - s."""
+class GridMLConstruction(MLConstruction):
+    """Grid levels over shell words, on the one-dimensional level loop.
+
+    An entry of size t extends a parent of size s with t > 2s, and the block
+    moved s cells along some face i extends a complement sample enumerated
+    by stage t - s.  The co-enumeration's dimension is the number of faces.
+    """
 
     def __init__(
         self,
-        coenum: ArrayStagedCoEnumeration,
+        coenum: StagedCoEnumeration,
         stage_max: int,
         candidate_budget: int = 1 << 22,
     ):
-        if coenum.dimension is None:
-            raise ValueError("co-enumeration is empty; dimension unknown")
-        self.coenum = coenum
-        self.k = coenum.dimension
-        self.stage_max = stage_max
-        self.candidate_budget = candidate_budget
-        empty = ArraySample(self.k, 0, ())
-        self._levels: list[dict[ArraySample, int]] = [{empty: 0}]
+        super().__init__(coenum, coenum.dimension, stage_max, candidate_budget)
 
-    @property
-    def q(self) -> Dyadic:
-        return self.k * array_measure_open(self.coenum.cumulative(self.stage_max))
+    def _first_stage(self, s: int) -> int:
+        return 2 * s + 1
 
-    def level(self, r: int) -> dict[ArraySample, int]:
-        if r < 0:
-            raise ValueError("level index must be nonnegative")
-        while len(self._levels) <= r:
-            self._levels.append(self._build_level(self._levels[-1]))
-        return self._levels[r]
+    def _offset(self, s: int, i: int) -> int:
+        return s
 
-    def _candidates(
-        self, sigma: ArraySample, tau: ArraySample, i: int, t: int
-    ) -> Iterator[ArraySample]:
-        k = self.k
-        s = sigma.size
-        total = t**k
-        fixed: dict[int, int] = {}
-        for v in product(range(s), repeat=k):
-            fixed[_cube_flat(v, t)] = sigma.get(v)
-        axis = i - 1
-        for v in product(range(tau.size), repeat=k):
-            coords = list(v)
-            coords[axis] += s
-            fixed[_cube_flat(tuple(coords), t)] = tau.get(v)
-        free = [f for f in range(total) if f not in fixed]
-        for assign in range(1 << len(free)):
-            bits = [0] * total
-            for f, b in fixed.items():
-                bits[f] = b
-            for j, f in enumerate(free):
-                bits[f] = (assign >> (len(free) - 1 - j)) & 1
-            yield ArraySample(k, t, tuple(bits))
-
-    def _build_level(self, parents: dict[ArraySample, int]) -> dict[ArraySample, int]:
-        entries: dict[ArraySample, int] = {}
-        entered_sizes: list[int] = []
-        generated = 0
-        for t in range(1, self.stage_max + 1):
-            found: set[ArraySample] = set()
-            for sigma, s in parents.items():
-                first_stage = 2 * s + 1
-                if t < first_stage:
-                    continue
-                if t == first_stage:
-                    taus = [a for a in self.coenum.cumulative(t - s) if a.size + s <= t]
-                else:
-                    taus = list(self.coenum.newly(t - s))
-                for tau in taus:
-                    for i in range(1, self.k + 1):
-                        free_cells = t**self.k - s**self.k - tau.cell_count
-                        generated += 1 << free_cells
-                        if generated > self.candidate_budget:
-                            raise BudgetExceededError(
-                                f"grid level enumeration exceeded "
-                                f"{self.candidate_budget} candidates"
-                            )
-                        for cand in self._candidates(sigma, tau, i, t):
-                            if cand in found:
-                                continue
-                            if any(cand.restrict(m) in entries for m in entered_sizes):
-                                continue
-                            found.add(cand)
-            if found:
-                for a in found:
-                    entries[a] = t
-                entered_sizes.append(t)
-        return entries
+    def _tau_positions(self, s: int, i: int, t: int, tau: Word) -> tuple[int, ...]:
+        return _shifted_block(self.k, t, _cube_side(tau.length, self.k), i - 1, s)
 
     def level_certificate(self, r: int) -> TestCertificate:
-        q = self.q
-        bound = q**r if q < D_ONE else D_ONE
-        samples = tuple(self.level(r))
-        return new_certificate(
-            kind="ml-Cr",
-            parameters={"dimension": self.k, "r": r, "q": str(q)},
-            words=samples,
-            exact_measure=array_measure_open(samples),
-            required_bound=bound,
-            stage_budget=self.stage_max,
-            space="grid",
-        )
-
-
-def grid_ml_enumerate_C(
-    coenum: ArrayStagedCoEnumeration, r: int, stage_max: int
-) -> TestCertificate:
-    return GridMLConstruction(coenum, stage_max).level_certificate(r)
+        return self._level_certificate(r, {"dimension": self.k}, space="grid")
 
 
 # --- the graded diagonal bijection and the one-dimensional reduction ------------
@@ -654,12 +536,12 @@ def flatten_sample(sample: ArraySample, word_budget: int = 1 << 20) -> frozenset
 
 
 def flatten_coenum(
-    coenum: ArrayStagedCoEnumeration, word_budget: int = 1 << 20
+    coenum: StagedCoEnumeration, word_budget: int = 1 << 20
 ) -> StagedCoEnumeration:
     """Image of a grid co-enumeration under the bijection, stage = word length."""
     stages: dict[int, set[Word]] = {}
-    for t in coenum._stages:
-        for sample in coenum.newly(t):
-            for w in flatten_sample(sample, word_budget):
-                stages.setdefault(w.length, set()).add(w)
+    for shell_word in coenum.words():
+        sample = ArraySample.from_word(coenum.dimension, shell_word)
+        for w in flatten_sample(sample, word_budget):
+            stages.setdefault(w.length, set()).add(w)
     return StagedCoEnumeration(stages)

@@ -20,26 +20,23 @@ from shiftrec.kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
 from shiftrec.measure import (
     ClopenSet,
     StagedCoEnumeration,
+    is_prefix_free,
     measure_open,
     split_tail,
 )
 from shiftrec.mltest import (
     MLConstruction,
-    check_prefix_free,
     ml_enumerate_G,
     ml_refined_levels,
 )
 from shiftrec.multidim import (
     ArrayClopenSet,
     ArraySample,
-    ArrayStagedCoEnumeration,
+    GridMLConstruction,
     SeededGridSource,
     all_samples,
-    arrays_prefix_free,
-    crop,
     face_shift,
     grid_kurtz_stage_set,
-    grid_ml_enumerate_C,
 )
 from shiftrec.recurrence import RecurrenceQuery, batch_statistics, find_witness
 from shiftrec.rotation import (
@@ -163,7 +160,7 @@ def test_criterion_4_ml_certificates():
         assert direct.q == Dyadic(1, 1)
         for r in range(4):
             cert = direct.level_certificate(r)
-            assert check_prefix_free(cert)
+            assert is_prefix_free(cert.words)
             assert cert.exact_measure <= half_power(r)
 
         # split path: complement of measure 3/4 >= 1/2
@@ -181,7 +178,7 @@ def test_criterion_4_ml_certificates():
         q_tail = 2 * measure_open(tail.words())
         refined = ml_refined_levels(con, 0, tail, 3)
         for u, cert in enumerate(refined):
-            assert check_prefix_free(cert)
+            assert is_prefix_free(cert.words)
             assert cert.exact_measure <= q_tail**u
 
 
@@ -257,12 +254,12 @@ def test_criterion_7_multidim():
             i = rng.randint(1, k)
             a = rng.randint(0, n)
             b = rng.randint(0, n - a)
-            assert crop(crop(sample, i, a), i, b) == crop(sample, i, a + b)
+            assert sample.crop(i, a).crop(i, b) == sample.crop(i, a + b)
             assert sample.cylinder_measure() == Dyadic(1, n**k)
         grid = SeededGridSource(5, 2)
         for i in (1, 2):
             for s in (0, 1, 3):
-                assert face_shift(grid, i, s).sample(3) == crop(grid.sample(3 + s), i, s)
+                assert face_shift(grid, i, s).sample(3) == grid.sample(3 + s).crop(i, s)
 
         target = ArrayClopenSet(2, 1, {ArraySample(2, 1, (1,))})
         cert = grid_kurtz_stage_set(target, 1)
@@ -274,11 +271,11 @@ def test_criterion_7_multidim():
         )
         assert cert.exact_measure == Dyadic(oracle, 4)
 
-        b = ArrayStagedCoEnumeration(
-            {2: {ArraySample.from_bit_string(2, 2, "1011")}}
+        b = StagedCoEnumeration(
+            {2: {ArraySample.from_bit_string(2, 2, "1011").word()}}, dimension=2
         )
-        ml_cert = grid_ml_enumerate_C(b, 1, 5)
-        assert arrays_prefix_free(ml_cert.words)
+        ml_cert = GridMLConstruction(b, 5).level_certificate(1)
+        assert is_prefix_free(ml_cert.words)
         assert ml_cert.exact_measure == Dyadic(1, 4)
         assert ml_cert.exact_measure <= ml_cert.required_bound
 

@@ -105,6 +105,25 @@ def test_verify_flags_prefix_violation():
     assert any("not prefix-free" in p for p in verify_certificate(bad))
 
 
+def test_verify_flags_grid_prefix_violation():
+    # the size-2 sample "1011" restricts to the size-1 sample "1"
+    payload = {
+        "kind": "ml-Cr",
+        "space": "grid",
+        "parameters": {"dimension": 2, "r": 1},
+        "words": [{"size": 1, "bits": "1"}, {"size": 2, "bits": "1011"}],
+        "exact_measure": "1/2^1",
+        "required_bound": "1/2^0",
+        "stage_budget": 4,
+        "pass": True,
+    }
+    bad = TestCertificate.from_json_dict(payload)
+    assert any("not prefix-free" in p for p in verify_certificate(bad))
+    payload["words"] = [{"size": 1, "bits": "1"}, {"size": 2, "bits": "0011"}]
+    payload["exact_measure"] = "9/2^4"
+    assert verify_certificate(TestCertificate.from_json_dict(payload)) == []
+
+
 def test_json_output_is_deterministic():
     cert = kurtz_stage_set(ClopenSet(1, {W("1")}), 2, 1)
     assert certificates_to_json([cert]) == certificates_to_json([cert])

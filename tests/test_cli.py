@@ -1,6 +1,16 @@
+import importlib.util
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from shiftrec.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +179,14 @@ def test_flags_override_config(tmp_path, capsys):
     assert json.loads(out)["parameters"]["k"] == 1
 
 
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"clopen": "1", "t-maxx": 2}))
+    code = main(["kurtz", "--config", str(conf)])
+    assert code == 2
+    assert "t-maxx" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     args = ["rotate", "--alpha", "golden", "--k", "2", "--epsilon", "0.05"]
     _, first = run_cli(capsys, *args)
@@ -222,3 +240,44 @@ def test_verify_covers_all_mltest_certificates(tmp_path, capsys):
     assert code == 0
     # level certs + escape sets + refined levels all re-checked
     assert out.count(": ok") >= 9
+
+
+def test_traced_layers_resolve():
+    """Every layer the benchmark traces still exists under its traced name."""
+    import shiftrec.cli  # noqa: F401  (loads every module the tracer patches)
+    import shiftrec.measure
+
+    spec = importlib.util.spec_from_file_location("spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    original = shiftrec.measure.measure_open
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert shiftrec.measure.measure_open is original
+
+
+def _readme_commands() -> list[str]:
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [ln.split("#", 1)[0].strip() for ln in block.splitlines() if ln.startswith("shiftrec ")]
+
+
+SMOKE_COMMANDS = ["shiftrec mltest --clopen 1 --k 2", *_readme_commands()]
+
+
+@pytest.mark.parametrize("command", SMOKE_COMMANDS)
+def test_documented_command_finishes(command, tmp_path):
+    """Each documented invocation exits 0 within its time limit."""
+    (tmp_path / "B.txt").write_text("stage 2: 11\nstage 4: 0000\n")
+    (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    assert main(["kurtz", "--clopen", "1", "--k", "2", "--t-max", "2",
+                 "--out", str(tmp_path / "certs.json")]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    argv = [sys.executable, "-m", "shiftrec.cli", *shlex.split(command)[1:]]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()

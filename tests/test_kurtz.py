@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from shiftrec.bitseq import ExplicitPrefixSource, PseudorandomSource, Word, constant_source
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
-from shiftrec.errors import BudgetExceededError
+from shiftrec.errors import BoundViolationError, BudgetExceededError
 from shiftrec.kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
 from shiftrec.measure import ClopenSet, measure_open
 
@@ -131,3 +131,10 @@ def test_survivor_membership_consistency():
         src = ExplicitPrefixSource(Word(value, 7), 0)
         captured, _ = kurtz_capture(src, P_ONES, 2, 1)
         assert captured == (Word(value, 7) in survivors)
+
+
+def test_overlapping_blocks_raise_even_under_optimization(monkeypatch):
+    # an explicit check, not an assert, so `python -O` cannot strip it
+    monkeypatch.setattr(KurtzSchedule, "blocks_disjoint_through", lambda self, t: False)
+    with pytest.raises(BoundViolationError):
+        kurtz_stage_set(P_ONES, 2, 0)

@@ -11,7 +11,6 @@ from shiftrec.measure import (
     ClopenSet,
     PrefixFreeWordSet,
     StagedCoEnumeration,
-    complement_clopen,
     is_prefix_free,
     measure_open,
     prefix_reduce,
@@ -87,10 +86,10 @@ def test_prefix_free_set_validates():
 
 def test_clopen_complement_examples():
     p = ClopenSet(1, words("1"))
-    assert complement_clopen(p) == ClopenSet(1, words("0"))
-    assert complement_clopen(ClopenSet(2, set())) == ClopenSet.full(2)
+    assert p.complement() == ClopenSet(1, words("0"))
+    assert ClopenSet(2, set()).complement() == ClopenSet.full(2)
     q = ClopenSet(2, words("00", "01", "10"))
-    qc = complement_clopen(q)
+    qc = q.complement()
     assert qc.words == words("11")
     assert q.measure() == Dyadic(3, 2)
     assert qc.measure() == Dyadic(1, 2)

@@ -13,12 +13,10 @@ import pytest
 from shiftrec.bitseq import EMPTY_WORD, Word, constant_source
 from shiftrec.dyadic import D_ONE, Dyadic, half_power
 from shiftrec.errors import InapplicableBoundError
-from shiftrec.measure import StagedCoEnumeration, measure_open, split_tail
+from shiftrec.measure import StagedCoEnumeration, is_prefix_free, measure_open, split_tail
 from shiftrec.mltest import (
     refinement_depth,
     MLConstruction,
-    check_prefix_free,
-    ml_enumerate_C,
     ml_enumerate_G,
     ml_escape_level,
     ml_measure_bound,
@@ -136,7 +134,7 @@ def test_empty_complement_gives_empty_levels():
 
 
 def test_level_zero_certificate():
-    cert = ml_enumerate_C(B_SINGLE, 2, 0, 12)
+    cert = MLConstruction(B_SINGLE, 2, 12).level_certificate(0)
     assert cert.words == (EMPTY_WORD,)
     assert cert.exact_measure == D_ONE
 
@@ -157,7 +155,7 @@ def test_stage_discipline_and_prefix_freeness():
             level = con.level(r)
             assert all(w.length == s for w, s in level.items())
             cert = con.level_certificate(r)
-            assert check_prefix_free(cert)
+            assert is_prefix_free(cert.words)
             for w, s in level.items():
                 if r > 0:
                     parents = [

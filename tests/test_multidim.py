@@ -9,29 +9,26 @@ from itertools import product
 
 import pytest
 
+from shiftrec.bitseq import Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BudgetExceededError
-from shiftrec.measure import measure_open
+from shiftrec.measure import StagedCoEnumeration, is_prefix_free, measure_open, prefix_reduce
 from shiftrec.multidim import (
     ArrayClopenSet,
     ArraySample,
-    ArrayStagedCoEnumeration,
     ExplicitGridSource,
     GridMLConstruction,
     SeededGridSource,
     all_samples,
     array_measure_open,
     arrays_prefix_free,
-    crop,
     face_shift,
     flatten_coenum,
     flatten_sample,
     flattened_source,
     grid_find_witness,
     grid_kurtz_stage_set,
-    grid_ml_enumerate_C,
     pair_index,
-    prefix_reduce_arrays,
     unpair_index,
 )
 from shiftrec.schnorr import schnorr_error_set, schnorr_schedule
@@ -65,18 +62,18 @@ def test_sample_indexing_row_major():
 
 def test_crop_examples():
     s = sample2("011010001", 3)
-    assert crop(s, 1, 0) == s
-    assert crop(s, 1, 3) == ArraySample(2, 0, ())
+    assert s.crop(1, 0) == s
+    assert s.crop(1, 3) == ArraySample(2, 0, ())
     # direction 2, one face: tau(u1, u2) = s(u1, u2 + 1), trimmed to 2x2
-    t = crop(s, 2, 1)
+    t = s.crop(2, 1)
     assert t.size == 2
     assert all(
         t.get((a, b)) == s.get((a, b + 1)) for a in range(2) for b in range(2)
     )
     with pytest.raises(ValueError):
-        crop(s, 1, 4)
+        s.crop(1, 4)
     with pytest.raises(ValueError):
-        crop(s, 3, 1)
+        s.crop(3, 1)
 
 
 def test_crop_composes_randomized():
@@ -89,7 +86,7 @@ def test_crop_composes_randomized():
         i = rng.randint(1, k)
         a = rng.randint(0, n)
         b = rng.randint(0, n - a)
-        assert crop(crop(s, i, a), i, b) == crop(s, i, a + b)
+        assert s.crop(i, a).crop(i, b) == s.crop(i, a + b)
 
 
 def test_face_shift_examples():
@@ -119,7 +116,29 @@ def test_crop_face_shift_compatibility():
         i = rng.randint(1, k)
         s = rng.randint(0, 3)
         m = rng.randint(1, 4 if k == 2 else 3)
-        assert face_shift(grid, i, s).sample(m) == crop(grid.sample(m + s), i, s)
+        assert face_shift(grid, i, s).sample(m) == grid.sample(m + s).crop(i, s)
+
+
+def test_shell_word_examples():
+    assert sample2("0110", 2).word() == Word.from_string("0110")
+    # shells of the 3x3 cube: (0,0) | (0,1) (1,0) (1,1) | (0,2) (1,2) (2,0) (2,1) (2,2)
+    assert sample2("011010001", 3).word() == Word.from_string("010110001")
+    assert ArraySample(3, 0, ()).word() == Word(0, 0)
+
+
+def test_shell_word_prefix_is_restriction():
+    rng = random.Random(13)
+    for _ in range(300):
+        k = rng.choice((1, 2, 3))
+        n = rng.randint(0, 6 if k < 3 else 4)
+        a = ArraySample(k, n, tuple(rng.randint(0, 1) for _ in range(n**k)))
+        w = a.word()
+        assert w.length == n**k
+        assert ArraySample.from_word(k, w) == a
+        for m in range(n + 1):
+            assert a.restrict(m).word() == w.take(m**k)
+    with pytest.raises(ValueError):
+        ArraySample.from_word(2, Word.from_string("101"))
 
 
 def test_cylinder_measure():
@@ -135,15 +154,15 @@ def test_array_measure_against_refinement_oracle():
     # 'other' extends 'small' (leading cell 1), 'big' does not
     assert small.is_prefix_of(other)
     assert not small.is_prefix_of(big)
-    reduced = prefix_reduce_arrays({small, big, other})
-    assert reduced == {small, big}
+    reduced = prefix_reduce(a.word() for a in (small, big, other))
+    assert reduced.words == {small.word(), big.word()}
     got = array_measure_open({small, big, other})
     # refine to size 2: cylinders above 'small' are the 8 extensions
     refined_hits = sum(
         1 for s in all_samples(2, 2) if small.is_prefix_of(s) or big.is_prefix_of(s)
     )
     assert got == Dyadic(refined_hits, 4)
-    assert arrays_prefix_free(reduced)
+    assert arrays_prefix_free({small, big})
     assert not arrays_prefix_free({small, other})
 
 
@@ -275,51 +294,54 @@ def oracle_grid_levels(stages: dict[int, set[str]], k: int, r_max: int, stage_ma
 
 
 def test_grid_levels_match_oracle():
-    b = ArrayStagedCoEnumeration(
+    b = StagedCoEnumeration(
         {
-            1: {ONE_CELL},
-            3: {ArraySample.from_bit_string(2, 3, "000010000")},
-        }
+            1: {ONE_CELL.word()},
+            3: {ArraySample.from_bit_string(2, 3, "000010000").word()},
+        },
+        dimension=2,
     )
     con = GridMLConstruction(b, 4, candidate_budget=1 << 24)
     oracle = oracle_grid_levels(
         {1: {"1"}, 3: {"000010000"}}, 2, 2, 4
     )
     for r in (0, 1, 2):
-        got = {(a.bit_string(), a.size): s for a, s in con.level(r).items()}
+        samples = {ArraySample.from_word(2, w): s for w, s in con.level(r).items()}
+        got = {(a.bit_string(), a.size): s for a, s in samples.items()}
         want = {((bits, size)): s for (bits, size), s in oracle[r].items()}
         assert got == want, f"grid level {r}"
 
 
 def test_grid_ml_example():
-    b = ArrayStagedCoEnumeration({2: {sample2("1011", 2)}})
-    cert0 = grid_ml_enumerate_C(b, 0, 5)
-    assert cert0.words == (ArraySample(2, 0, ()),)
-    cert1 = grid_ml_enumerate_C(b, 1, 5)
-    assert cert1.words == (sample2("1011", 2),)
+    b = StagedCoEnumeration({2: {sample2("1011", 2).word()}}, dimension=2)
+    cert0 = GridMLConstruction(b, 5).level_certificate(0)
+    assert cert0.words == (ArraySample(2, 0, ()).word(),)
+    cert1 = GridMLConstruction(b, 5).level_certificate(1)
+    assert cert1.words == (sample2("1011", 2).word(),)
     assert cert1.exact_measure == Dyadic(1, 4)  # 1/16
     assert cert1.required_bound == Dyadic(1, 3)  # q = 2 * 1/16 = 1/8
-    assert arrays_prefix_free(cert1.words)
+    assert is_prefix_free(cert1.words)
 
 
 def test_grid_ml_empty_complement():
-    empty = ArrayStagedCoEnumeration({}, dimension=2)
+    empty = StagedCoEnumeration({}, dimension=2)
     con = GridMLConstruction(empty, 4)
-    assert con.level(0) == {ArraySample(2, 0, ()): 0}
+    assert con.level(0) == {ArraySample(2, 0, ()).word(): 0}
     for r in (1, 2):
         assert con.level(r) == {}
     with pytest.raises(ValueError):
-        GridMLConstruction(ArrayStagedCoEnumeration({}), 4)  # dimension unknown
-    assert len(GridMLConstruction(ArrayStagedCoEnumeration({1: {ONE_CELL}}), 4).level(1)) == 1
+        GridMLConstruction(StagedCoEnumeration({}, dimension=0), 4)
+    one = StagedCoEnumeration({1: {ONE_CELL.word()}}, dimension=2)
+    assert len(GridMLConstruction(one, 4).level(1)) == 1
 
 
 def test_grid_levels_prefix_free_and_staged():
-    b = ArrayStagedCoEnumeration({1: {ONE_CELL}})
+    b = StagedCoEnumeration({1: {ONE_CELL.word()}}, dimension=2)
     con = GridMLConstruction(b, 4, candidate_budget=1 << 24)
     for r in (1, 2):
         level = con.level(r)
-        assert arrays_prefix_free(level)
-        assert all(a.size == s for a, s in level.items())
+        assert is_prefix_free(level)
+        assert all(w.length == s**2 for w, s in level.items())
         cert = con.level_certificate(r)
         assert cert.exact_measure <= cert.required_bound
 
@@ -357,7 +379,7 @@ def test_flatten_sample_measure_preserved():
 
 
 def test_flatten_coenum_measure_and_schedule():
-    b = ArrayStagedCoEnumeration({2: {sample2("1011", 2)}})
+    b = StagedCoEnumeration({2: {sample2("1011", 2).word()}}, dimension=2)
     flat = flatten_coenum(b)
     assert flat.measure() == b.measure()
     # the one-dimensional scheduled machinery applies unchanged
