@@ -8,7 +8,7 @@ replayed bit-for-bit from its seed or input file.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InsufficientDataError
 
@@ -21,10 +21,7 @@ class Word(NamedTuple):
 
     @classmethod
     def from_string(cls, text: str) -> "Word":
-        text = text.strip()
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"not a bit string: {text!r}")
-        return cls(int(text, 2) if text else 0, len(text))
+        return words_from_strings([text.strip()])[0]
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Word":
@@ -68,15 +65,40 @@ class Word(NamedTuple):
         return other.length > self.length and self.is_prefix_of(other)
 
     def to_string(self) -> str:
-        if self.length == 0:
-            return ""
-        return format(self.value, f"0{self.length}b")
+        return word_strings([self])[0]
 
     def __str__(self) -> str:
         return self.to_string()
 
 
 EMPTY_WORD = Word(0, 0)
+
+
+def joined_bits(texts: Sequence[str]) -> str:
+    """The bit strings joined, after one check that every character is 0 or 1.
+
+    The check comes before any parsing because ``int(text, 2)`` also
+    accepts signs, spaces, underscores, a ``0b`` prefix and non-ASCII digits.
+    """
+    try:
+        joined = "".join(texts)
+    except TypeError:
+        raise ValueError("words must be bit strings") from None
+    if joined.strip("01"):
+        bad = next(t for t in texts if t.strip("01"))
+        raise ValueError(f"not a bit string: {bad!r}")
+    return joined
+
+
+def words_from_strings(texts: Sequence[str]) -> list[Word]:
+    """The words spelled by bit strings."""
+    joined_bits(texts)
+    return [Word(int(t, 2), len(t)) if t else EMPTY_WORD for t in texts]
+
+
+def word_strings(words: Iterable[Word]) -> list[str]:
+    """Bit strings of words; inverse of :func:`words_from_strings`."""
+    return [format(v, f"0{n}b") if n else "" for v, n in words]
 
 
 def shift(word: Word, n: int) -> Word:

@@ -10,13 +10,20 @@ legitimate run.
 from __future__ import annotations
 
 import json
+import math
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable
 
-from .bitseq import Word
+from .bitseq import Word, word_strings, words_from_strings
 from .dyadic import Dyadic
 from .errors import BoundViolationError
-from .measure import is_prefix_free, measure_open, sorted_words
+from .measure import measure_open, prefix_reduce, sorted_words
+
+# the C implementation whenever the interpreter has one
+_escape = json.encoder.encode_basestring_ascii
 
 KINDS = ("kurtz-stage", "schnorr-error", "ml-Cr", "ml-Gm", "ml-refined")
 
@@ -39,13 +46,16 @@ class TestCertificate:
 
     def to_json_dict(self) -> dict:
         if self.space == "bits":
-            words = [str(w) for w in self.words]
+            words = word_strings(self.words)
         else:
-            from .multidim import row_major_bits
+            from .multidim import row_major_groups
 
             dim = int(self.parameters["dimension"])
-            samples = sorted(row_major_bits(dim, w) for w in self.words)
-            words = [{"size": size, "bits": bits} for size, bits in samples]
+            words = [
+                {"size": size, "bits": bits}
+                for size, group in row_major_groups(dim, self.words)
+                for bits in group
+            ]
         return {
             "kind": self.kind,
             "space": self.space,
@@ -61,13 +71,19 @@ class TestCertificate:
     def from_json_dict(cls, data: dict) -> "TestCertificate":
         space = data.get("space", "bits")
         if space == "bits":
-            words = tuple(Word.from_string(w) for w in data["words"])
+            words = tuple(words_from_strings(data["words"]))
         else:
-            from .multidim import shell_word
+            from .multidim import shell_words
 
             dim = int(data["parameters"]["dimension"])
-            words = sorted_words(
-                shell_word(dim, int(w["size"]), w["bits"]) for w in data["words"]
+            by_size: defaultdict[int, list[str]] = defaultdict(list)
+            for w in data["words"]:
+                by_size[int(w["size"])].append(w["bits"])
+            words = tuple(
+                chain.from_iterable(
+                    sorted(shell_words(dim, size, texts))
+                    for size, texts in sorted(by_size.items())
+                )
             )
         return cls(
             kind=data["kind"],
@@ -106,12 +122,14 @@ def new_certificate(
 def verify_certificate(cert: TestCertificate) -> list[str]:
     """Re-check a certificate from its own words; returns the list of problems."""
     problems: list[str] = []
-    recomputed = measure_open(cert.words)
-    if not is_prefix_free(cert.words):
+    words = frozenset(cert.words)
+    reduced = prefix_reduce(words)
+    if len(reduced) != len(words):
         problems.append("word set is not prefix-free")
+    recomputed = measure_open(reduced)
     # A stage-t word of a k-dimensional certificate has length t**k.
     longest = cert.stage_budget ** int(cert.parameters.get("dimension", 1))
-    if cert.kind.startswith("ml-") and any(w.length > longest for w in cert.words):
+    if cert.kind.startswith("ml-") and max(map(itemgetter(1), words), default=0) > longest:
         problems.append("a word is longer than the stage budget")
     if recomputed != cert.exact_measure:
         problems.append(
@@ -121,12 +139,70 @@ def verify_certificate(cert: TestCertificate) -> list[str]:
         problems.append(
             f"measure {recomputed} violates required bound {cert.required_bound}"
         )
+    elif cert.kind == "kurtz-stage" and recomputed != cert.required_bound:
+        # a survivor set has exactly the measure of its product formula
+        problems.append(
+            f"measure {recomputed} differs from the bound {cert.required_bound} "
+            "that a kurtz-stage certificate must equal"
+        )
     return problems
 
 
+def json_text(obj) -> str:
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
+
+    With ``indent`` the standard library encodes through a Python generator;
+    here strings go through its C escaper and containers are joined.
+    Mapping keys must be strings (the escaper raises ``TypeError`` otherwise).
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _escape(k) + ": " + (_escape(v) if type(v) is str else _json_value(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        opening, closing = "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_escape(v) if type(v) is str else _json_value(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        return _json_scalar(obj)
+    # brackets go onto the end items, so that the join is the only copy
+    items[0] = opening + inner + items[0]
+    items[-1] += newline + closing
+    return ("," + inner).join(items)
+
+
+def _json_scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def certificates_to_json(certs: Iterable[TestCertificate]) -> str:
-    payload = {"certificates": [c.to_json_dict() for c in certs]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json_text({"certificates": [c.to_json_dict() for c in certs]})
 
 
 _CERT_KEYS = ("certificates", "g_certificates", "refined_certificates")

@@ -17,6 +17,7 @@ from .bitseq import ExplicitPrefixSource, FileSource, PseudorandomSource, Word
 from .certificates import (
     TestCertificate,
     certificates_from_json,
+    json_text,
     verify_certificate,
 )
 from .dyadic import Dyadic
@@ -76,10 +77,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _cert_csv(certs: list[TestCertificate]) -> str:
     def fmt(value) -> str:
         if isinstance(value, (list, tuple)):
@@ -126,31 +123,24 @@ def _array_coenum_from_text(text: str) -> StagedCoEnumeration:
     return StagedCoEnumeration(stages, dimension=dim)
 
 
-def _resolve_target(args):
-    if getattr(args, "clopen", None):
+def _resolve_target(args) -> ClopenSet | StagedCoEnumeration:
+    """The ``--clopen`` or ``--class-file`` target: a clopen set, or the
+    one-dimensional co-enumeration of a closed set's complement."""
+    if args.clopen:
         return ClopenSet.from_strings(args.clopen.split(","))
-    if getattr(args, "class_file", None):
+    if args.class_file:
         loaded = _load_class_file(args.class_file)
-        if isinstance(loaded, ClopenSet):
-            return loaded
-        if loaded.dimension != 1:
+        if isinstance(loaded, StagedCoEnumeration) and loaded.dimension != 1:
             raise ValueError("grid class files only apply to the grid subcommand")
-        budget = args.stage_max if args.stage_max is not None else loaded.max_stage
-        return Pi01Target(loaded, budget)
+        return loaded
     raise ValueError("no target given: use --clopen or --class-file")
 
 
 def _resolve_coenum(args) -> StagedCoEnumeration:
-    if getattr(args, "clopen", None):
-        clopen = ClopenSet.from_strings(args.clopen.split(","))
-        return StagedCoEnumeration.from_words(clopen.complement().words)
-    if getattr(args, "class_file", None):
-        loaded = _load_class_file(args.class_file)
-        if isinstance(loaded, ClopenSet):
-            return StagedCoEnumeration.from_words(loaded.complement().words)
-        if loaded.dimension == 1:
-            return loaded
-    raise ValueError("no co-enumeration given: use --class-file or --clopen")
+    target = _resolve_target(args)
+    if isinstance(target, ClopenSet):
+        return StagedCoEnumeration.from_words(target.complement().words)
+    return target
 
 
 def _single_source(args):
@@ -175,6 +165,9 @@ def _seed_list(args) -> list[int] | None:
 
 def _cmd_recur(args) -> int:
     target = _resolve_target(args)
+    if isinstance(target, StagedCoEnumeration):
+        budget = args.stage_max if args.stage_max is not None else target.max_stage
+        target = Pi01Target(target, budget)
     n_max = args.n_max if args.n_max is not None else 100
     k = args.k if args.k is not None else 1
     if args.bits is not None or args.bits_file is not None:
@@ -184,7 +177,7 @@ def _cmd_recur(args) -> int:
             w = report.witness
             text = "seed,k,n_max,witness\n" + f",{k},{n_max},{'' if w is None else w}\n"
         else:
-            text = _json_text({"subcommand": "recur", **report.to_json_dict()})
+            text = json_text({"subcommand": "recur", **report.to_json_dict()})
         _emit(text, args.out)
         return 0
     seeds = _seed_list(args)
@@ -194,7 +187,7 @@ def _cmd_recur(args) -> int:
     if args.format == "csv":
         text = "\n".join(summary.to_csv_rows()) + "\n"
     else:
-        text = _json_text({"subcommand": "recur", **summary.to_json_dict()})
+        text = json_text({"subcommand": "recur", **summary.to_json_dict()})
     _emit(text, args.out)
     return 0
 
@@ -216,7 +209,7 @@ def _cmd_kurtz(args) -> int:
     if source is not None:
         captured, escape = kurtz_capture(source, target, k, t_count - 1)
         payload["capture"] = {"captured": captured, "escape_stage": escape}
-    text = _cert_csv(certs) if args.format == "csv" else _json_text(payload)
+    text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
     _emit(text, args.out)
     return 0
 
@@ -240,7 +233,7 @@ def _cmd_schnorr(args) -> int:
         "level_bound": str(Dyadic(1, v)),
         "all_pass": all(c.passes for c in certs),
     }
-    text = _cert_csv(certs) if args.format == "csv" else _json_text(payload)
+    text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
     _emit(text, args.out)
     return 0
 
@@ -278,7 +271,7 @@ def _cmd_mltest(args) -> int:
     text = (
         _cert_csv(result.all_certificates())
         if args.format == "csv"
-        else _json_text(payload)
+        else json_text(payload)
     )
     _emit(text, args.out)
     return 0
@@ -295,7 +288,7 @@ def _cmd_grid(args) -> int:
         grid = SeededGridSource(seed, dim)
         n = grid_find_witness(grid, target, args.n_max if args.n_max is not None else 64)
         _emit(
-            _json_text(
+            json_text(
                 {"subcommand": "grid", "op": "witness", "seed": seed, "witness": n}
             ),
             args.out,
@@ -314,7 +307,7 @@ def _cmd_grid(args) -> int:
             "certificates": [c.to_json_dict() for c in certs],
             "all_pass": all(c.passes for c in certs),
         }
-        text = _cert_csv(certs) if args.format == "csv" else _json_text(payload)
+        text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
         _emit(text, args.out)
         return 0
     if args.op == "ml":
@@ -333,7 +326,7 @@ def _cmd_grid(args) -> int:
             "certificates": [c.to_json_dict() for c in certs],
             "all_pass": all(c.passes for c in certs),
         }
-        text = _cert_csv(certs) if args.format == "csv" else _json_text(payload)
+        text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
         _emit(text, args.out)
         return 0
     raise ValueError(f"unknown grid op {args.op!r}")
@@ -371,7 +364,7 @@ def _cmd_rotate(args) -> int:
         )
         text = "\n".join(rows) + "\n"
     else:
-        text = _json_text(payload)
+        text = json_text(payload)
     _emit(text, args.out)
     return 0
 
@@ -392,30 +385,50 @@ def _cmd_verify(args) -> int:
     return 1 if bad else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--r", type=int, default=None)
-    parser.add_argument("--v", type=int, default=None)
-    parser.add_argument("--t-max", dest="t_max", type=int, default=None)
-    parser.add_argument("--n-max", dest="n_max", type=int, default=None)
-    parser.add_argument("--stage-max", dest="stage_max", type=int, default=None)
-    parser.add_argument("--m-max", dest="m_max", type=int, default=None)
-    parser.add_argument("--u-max", dest="u_max", type=int, default=None)
-    parser.add_argument("--epsilon", type=str, default=None)
-    parser.add_argument("--alpha", type=str, default=None)
-    parser.add_argument("--precision", type=int, default=None)
-    parser.add_argument("--seed", type=int, action="append", default=None)
-    parser.add_argument("--seeds-file", dest="seeds_file", type=str, default=None)
-    parser.add_argument("--bits", type=str, default=None)
-    parser.add_argument("--bits-file", dest="bits_file", type=str, default=None)
-    parser.add_argument("--class-file", dest="class_file", type=str, default=None)
-    parser.add_argument("--clopen", type=str, default=None)
-    parser.add_argument("--target-bits", dest="target_bits", type=str, default=None)
-    parser.add_argument("--n1", type=int, default=None)
-    parser.add_argument("--dimension", type=int, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
+# Every flag's argparse settings; each subcommand takes only the flags it reads.
+_FLAGS = {
+    "k": dict(type=int),
+    "r": dict(type=int),
+    "v": dict(type=int),
+    "t-max": dict(type=int),
+    "n-max": dict(type=int),
+    "stage-max": dict(type=int),
+    "m-max": dict(type=int),
+    "u-max": dict(type=int),
+    "epsilon": dict(type=str),
+    "alpha": dict(type=str),
+    "precision": dict(type=int),
+    "seed": dict(type=int, action="append"),
+    "seeds-file": dict(type=str),
+    "bits": dict(type=str),
+    "bits-file": dict(type=str),
+    "class-file": dict(type=str),
+    "clopen": dict(type=str),
+    "target-bits": dict(type=str),
+    "n1": dict(type=int),
+    "dimension": dict(type=int),
+    "op": dict(choices=("witness", "kurtz", "ml"), default="witness"),
+    "format": dict(choices=("csv", "json")),
+    "out": dict(type=str),
+    "config": dict(type=str),
+}
+
+_TARGET = ("clopen", "class-file")
+_SOURCE = ("bits", "bits-file", "seed")
+_OUTPUT = ("format", "out", "config")
+
+_SUBCOMMAND_FLAGS = {
+    "recur": (*_TARGET, "stage-max", "k", "n-max", *_SOURCE, "seeds-file", *_OUTPUT),
+    "kurtz": (*_TARGET, "k", "t-max", *_SOURCE, *_OUTPUT),
+    "schnorr": (*_TARGET, "k", "v", "t-max", *_OUTPUT),
+    "mltest": (*_TARGET, "k", "r", "stage-max", "m-max", "u-max", *_SOURCE, *_OUTPUT),
+    "grid": (
+        "op", "dimension", "target-bits", "n1", "seed", "n-max", "r", "class-file",
+        "stage-max", *_OUTPUT,
+    ),
+    "rotate": ("alpha", "k", "epsilon", "precision", "n-max", *_OUTPUT),
+    "verify": ("out", "config"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,12 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name == "verify":
             p.add_argument("certificate", type=str)
-            p.add_argument("--out", type=str, default=None)
-            p.add_argument("--config", type=str, default=None)
-        else:
-            _add_common(p)
-            if name == "grid":
-                p.add_argument("--op", choices=("witness", "kurtz", "ml"), default="witness")
+        for flag in _SUBCOMMAND_FLAGS[name]:
+            p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -14,7 +14,10 @@ here therefore serves grids unchanged.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .bitseq import Word, all_words
@@ -25,18 +28,9 @@ _WordIter = Iterable[Word]
 
 
 def is_prefix_free(words: _WordIter) -> bool:
-    """Pairwise scan: no member is a proper prefix of another."""
-    ws = frozenset(words)
-    lengths = sorted({w.length for w in ws})
-    shorter: list[int] = []
-    for length in lengths:
-        for w in ws:
-            if w.length != length:
-                continue
-            if any(w.take(l) in ws for l in shorter):
-                return False
-        shorter.append(length)
-    return True
+    """No member is a proper prefix of another: reduction keeps every word."""
+    pool = frozenset(words)
+    return len(prefix_reduce(pool)) == len(pool)
 
 
 class PrefixFreeWordSet:
@@ -75,42 +69,57 @@ class PrefixFreeWordSet:
 
 
 def prefix_reduce(words: _WordIter) -> PrefixFreeWordSet:
-    """Keep exactly the prefix-minimal members; the open set is unchanged."""
+    """Keep exactly the prefix-minimal members; the open set is unchanged.
+
+    The words are bucketed by length once.  Shortest first, a bucket keeps
+    the values ``v`` for which no kept value ``d`` bits shorter equals
+    ``v >> d``.
+    """
     pool = frozenset(words)
-    kept: set[Word] = set()
-    kept_lengths: list[int] = []
-    for length in sorted({w.length for w in pool}):
-        new = [
-            w
-            for w in pool
-            if w.length == length and not any(w.take(l) in kept for l in kept_lengths)
-        ]
-        if new:
-            kept.update(new)
-            kept_lengths.append(length)
-    return PrefixFreeWordSet(kept, _validated=True)
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for value, length in pool:
+        buckets[length].append(value)
+    kept: dict[int, set[int]] = {}
+    for length in sorted(buckets):
+        values = buckets[length]
+        for shorter, prefixes in kept.items():
+            d = length - shorter
+            values = [v for v in values if v >> d not in prefixes]
+        if values:
+            kept[length] = set(values)
+    if sum(map(len, kept.values())) == len(pool):
+        return PrefixFreeWordSet(pool, _validated=True)
+    return PrefixFreeWordSet(
+        (Word(v, length) for length, values in kept.items() for v in values),
+        _validated=True,
+    )
 
 
 def measure_open(words: _WordIter | PrefixFreeWordSet) -> Dyadic:
     """Uniform measure of the open set generated by ``words``, exactly."""
-    if isinstance(words, PrefixFreeWordSet):
-        reduced = words.words
-    else:
-        reduced = prefix_reduce(words).words
-    if not reduced:
+    if not isinstance(words, PrefixFreeWordSet):
+        words = prefix_reduce(words)
+    per_length = Counter(map(itemgetter(1), words))
+    if not per_length:
         return D_ZERO
-    top = max(w.length for w in reduced)
-    return Dyadic(sum(1 << (top - w.length) for w in reduced), top)
+    top = max(per_length)
+    return Dyadic(sum(count << (top - n) for n, count in per_length.items()), top)
+
+
+def words_by_length(words: _WordIter) -> dict[int, list[Word]]:
+    """The words bucketed by length, shortest first."""
+    buckets: defaultdict[int, list[Word]] = defaultdict(list)
+    for w in words:
+        buckets[w.length].append(w)
+    return dict(sorted(buckets.items()))
 
 
 def sorted_words(words: _WordIter) -> tuple[Word, ...]:
     """Canonical (length, value) order, used everywhere output must be stable."""
-    ws = list(words)
-    if len({w.length for w in ws}) <= 1:
-        ws.sort()  # equal lengths: native tuple order is already value order
-    else:
-        ws.sort(key=lambda w: (w.length, w.value))
-    return tuple(ws)
+    buckets = words_by_length(words)
+    for bucket in buckets.values():
+        bucket.sort()  # equal lengths: native tuple order is value order
+    return tuple(chain.from_iterable(buckets.values()))
 
 
 class ClopenSet:

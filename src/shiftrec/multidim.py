@@ -22,15 +22,23 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitseq import SequenceSource, Word, _GAMMA, _mix64
+from .bitseq import (
+    EMPTY_WORD,
+    SequenceSource,
+    Word,
+    _GAMMA,
+    _mix64,
+    joined_bits,
+    word_strings,
+)
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError, BudgetExceededError, InsufficientDataError
-from .measure import StagedCoEnumeration, is_prefix_free, measure_open
+from .measure import StagedCoEnumeration, is_prefix_free, measure_open, words_by_length
 from .mltest import MLConstruction
 
 _SampleIter = Iterable["ArraySample"]
@@ -68,6 +76,15 @@ def _shifted_block(
     return tuple(moved)
 
 
+@cache
+def _shell_order(dimension: int, size: int) -> tuple[int, ...]:
+    """Row-major index of each cell of the size-n cube, in shell order."""
+    order = [0] * size**dimension
+    for r, p in enumerate(_shell_rank(dimension, size)):
+        order[p] = r
+    return tuple(order)
+
+
 def _cube_side(cells: int, dimension: int) -> int:
     side = round(cells ** (1 / dimension))
     if side**dimension != cells:
@@ -75,25 +92,71 @@ def _cube_side(cells: int, dimension: int) -> int:
     return side
 
 
+def _cell_count(dimension: int, size: int) -> int:
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    if size < 0:
+        raise ValueError(f"sample size {size} is negative")
+    return size**dimension
+
+
+def _regroup(text: str, cells: int, order: tuple[int, ...]) -> str:
+    """Reorder the cells of every ``cells``-long record of ``text`` at once:
+    cell ``order[j]`` of each record becomes its cell ``j``."""
+    src = text.encode("ascii")
+    dst = bytearray(len(src))
+    for j, p in enumerate(order):
+        dst[j::cells] = src[p::cells]
+    return dst.decode("ascii")
+
+
+def shell_words(dimension: int, size: int, texts: Sequence[str]) -> list[Word]:
+    """Shell words of size-n samples given by their row-major bit strings.
+
+    The size and every bit count are checked before any shell table is
+    built; the samples are then reordered together, one strided copy per cell.
+    """
+    cells = _cell_count(dimension, size)
+    text = joined_bits(texts)
+    bad = next((t for t in texts if len(t) != cells), None)
+    if bad is not None:
+        raise ValueError(
+            f"size-{size} sample in dimension {dimension} needs {cells} bits, got {bad!r}"
+        )
+    if not cells:
+        return [EMPTY_WORD] * len(texts)
+    shell = _regroup(text, cells, _shell_order(dimension, size))
+    return [Word(int(shell[i : i + cells], 2), cells) for i in range(0, len(shell), cells)]
+
+
+def row_major_strings(dimension: int, size: int, words: Sequence[Word]) -> list[str]:
+    """Row-major bit strings of size-n samples given by their shell words."""
+    cells = _cell_count(dimension, size)
+    if any(w.length != cells for w in words):
+        raise ValueError(f"a shell word is not a size-{size} sample in dimension {dimension}")
+    if not cells:
+        return [""] * len(words)
+    text = _regroup("".join(word_strings(words)), cells, _shell_rank(dimension, size))
+    return [text[i : i + cells] for i in range(0, len(text), cells)]
+
+
 def shell_word(dimension: int, size: int, bits: str) -> Word:
     """Shell word of the size-n sample whose row-major bit string is ``bits``."""
-    rank = _shell_rank(dimension, size)
-    if len(bits) != len(rank) or set(bits) - {"0", "1"}:
-        raise ValueError(
-            f"size-{size} sample in dimension {dimension} needs {len(rank)} bits, "
-            f"got {bits!r}"
-        )
-    shell = [""] * len(rank)
-    for b, p in zip(bits, rank):
-        shell[p] = b
-    return Word.from_string("".join(shell))
+    return shell_words(dimension, size, [bits])[0]
 
 
 def row_major_bits(dimension: int, word: Word) -> tuple[int, str]:
     """Size and row-major bit string of the sample whose shell word is ``word``."""
     size = _cube_side(word.length, dimension)
-    text = word.to_string()
-    return size, "".join([text[p] for p in _shell_rank(dimension, size)])
+    return size, row_major_strings(dimension, size, [word])[0]
+
+
+def row_major_groups(dimension: int, words: Iterable[Word]) -> Iterator[tuple[int, list[str]]]:
+    """Per sample size, smallest first, the sorted row-major bit strings of
+    the samples whose shell words are ``words``."""
+    for length, group in words_by_length(words).items():
+        size = _cube_side(length, dimension)
+        yield size, sorted(row_major_strings(dimension, size, group))
 
 
 @dataclass(frozen=True)

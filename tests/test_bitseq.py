@@ -12,6 +12,8 @@ from shiftrec.bitseq import (
     all_words,
     constant_source,
     shift,
+    word_strings,
+    words_from_strings,
 )
 from shiftrec.errors import InsufficientDataError
 
@@ -34,6 +36,25 @@ def test_word_rejects_garbage():
         Word.from_string("012")
     with pytest.raises(ValueError):
         Word.from_bits([2])
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1", "0b1", "2", "\u0661", "-1", "+1", "1 "])
+def test_batch_parser_rejects_what_int_accepts(text):
+    # int(text, 2) accepts each of these (u0661 is ARABIC-INDIC DIGIT ONE)
+    with pytest.raises(ValueError):
+        words_from_strings(["01", text])
+
+
+def test_batch_parser_rejects_non_strings():
+    with pytest.raises(ValueError):
+        words_from_strings(["01", 1])
+
+
+@given(st.lists(words_strategy, max_size=20))
+def test_batch_parser_roundtrip(ws):
+    texts = word_strings(ws)
+    assert texts == [w.to_string() for w in ws]
+    assert words_from_strings(texts) == ws
 
 
 def test_shift_examples():

@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftrec.bitseq import Word
 from shiftrec.certificates import (
     TestCertificate,
     certificates_from_json,
     certificates_to_json,
+    json_text,
     new_certificate,
     verify_certificate,
 )
@@ -131,3 +134,68 @@ def test_json_output_is_deterministic():
     assert data["certificates"][0]["words"] == sorted(
         data["certificates"][0]["words"]
     )
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()  # non-ASCII and control characters included
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_json_text_equals_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError):
+        json_text({"a": object()})
+    with pytest.raises(TypeError):
+        json_text({("a",): 1})
+
+
+def test_verify_requires_kurtz_stage_equality():
+    # the benchmark's tamper probe: 10 of 72 survivor words, measure restated,
+    # bound loosened to 1; measure and bound are consistent, but a kurtz-stage
+    # certificate must equal (1-p^k)^(t+1)
+    cert = kurtz_stage_set(ClopenSet(1, {W("1")}), 2, 1)
+    assert len(cert.words) == 72
+    payload = cert.to_json_dict()
+    kept = payload["words"][:10]
+    top = max(len(w) for w in kept)
+    payload["words"] = kept
+    payload["exact_measure"] = str(Dyadic(sum(1 << (top - len(w)) for w in kept), top))
+    payload["required_bound"] = "1/2^0"
+    problems = verify_certificate(TestCertificate.from_json_dict(payload))
+    assert problems and all("kurtz-stage" in p for p in problems)
+    one_word = dict(payload, words=["01"], exact_measure="1/2^2")
+    assert verify_certificate(TestCertificate.from_json_dict(one_word))
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [{"size": -3, "bits": ""}, {"size": 2, "bits": "101"}, {"size": 1, "bits": "2"}],
+)
+def test_grid_certificate_rejects_bad_samples(sample):
+    payload = {
+        "kind": "ml-Cr",
+        "space": "grid",
+        "parameters": {"dimension": 2, "r": 1},
+        "words": [sample],
+        "exact_measure": "1/2^0",
+        "required_bound": "1/2^0",
+        "stage_budget": 4,
+        "pass": True,
+    }
+    with pytest.raises(ValueError):
+        TestCertificate.from_json_dict(payload)

@@ -259,6 +259,59 @@ def test_traced_layers_resolve():
     assert shiftrec.measure.measure_open is original
 
 
+def test_flags_of_other_subcommands_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rotate", "--clopen", "1", "--alpha", "golden", "--k", "1", "--epsilon", "0.1"])
+    assert exc.value.code == 2
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"clopen": "1"}))
+    code = main(["rotate", "--config", str(conf)])
+    assert code == 2
+    assert "clopen" in capsys.readouterr().err
+
+
+def test_benchmark_job_arguments_parse(tmp_path, monkeypatch):
+    """Every argv of the benchmark's job lists is accepted by its subcommand."""
+    from shiftrec.cli import build_parser
+
+    spec = importlib.util.spec_from_file_location("jobs", REPO / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "jobs", jobs)  # its dataclass looks itself up
+    spec.loader.exec_module(jobs)
+    parser = build_parser()
+    for workload in jobs.WORKLOADS:
+        inputs = jobs.write_inputs(workload, 1, tmp_path / workload)
+        for job in jobs.job_list(workload, 1, inputs, tmp_path):
+            parser.parse_args([*job.argv, "--out", str(tmp_path / "out")])
+
+
+def test_verify_rejects_tampered_kurtz_stage(tmp_path, capsys):
+    src = tmp_path / "kurtz.json"
+    assert main(["kurtz", "--clopen", "1", "--k", "2", "--t-max", "2", "--out", str(src)]) == 0
+    data = json.loads(src.read_text())
+    cert = data["certificates"][1]
+    cert["words"] = ["01"]
+    cert["exact_measure"] = "1/2^2"
+    cert["required_bound"] = "1/2^0"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({"certificates": [cert]}))
+    code, out = run_cli(capsys, "verify", str(tampered))
+    assert code == 1
+    assert "kurtz-stage" in out
+
+
+@pytest.mark.parametrize("sample", [{"size": -3, "bits": ""}, {"size": 2, "bits": "10"}])
+def test_verify_rejects_malformed_grid_sample(sample, tmp_path, capsys):
+    src = tmp_path / "grid.json"
+    assert main(["grid", "--op", "kurtz", "--dimension", "2", "--n1", "1",
+                 "--target-bits", "1", "--r", "1", "--out", str(src)]) == 0
+    data = json.loads(src.read_text())
+    data["certificates"][0]["words"].append(sample)
+    src.write_text(json.dumps(data))
+    assert main(["verify", str(src)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def _readme_commands() -> list[str]:
     text = (REPO / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -281,3 +334,14 @@ def test_documented_command_finishes(command, tmp_path):
     argv = [sys.executable, "-m", "shiftrec.cli", *shlex.split(command)[1:]]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("command", [c for c in _readme_commands() if " verify " not in f" {c} "])
+def test_documented_json_output_matches_json_dumps(command, tmp_path, monkeypatch, capsys):
+    """The writer's bytes equal the standard encoder's on every documented output."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B.txt").write_text("stage 2: 11\nstage 4: 0000\n")
+    (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    code, out = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

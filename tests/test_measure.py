@@ -37,6 +37,20 @@ def oracle_measure(word_set, depth=10):
     return Fraction(hits, 1 << depth)
 
 
+word_sets = st.lists(
+    st.integers(0, 6).flatmap(lambda n: st.integers(0, (1 << n) - 1).map(lambda v: Word(v, n))),
+    max_size=16,
+)
+
+
+@given(word_sets)
+def test_prefix_reduction_matches_pairwise_oracle(ws):
+    pool = set(ws)
+    minimal = {w for w in pool if not any(u.is_proper_prefix_of(w) for u in pool)}
+    assert prefix_reduce(ws).words == minimal
+    assert is_prefix_free(ws) == (minimal == pool)
+
+
 def test_measure_open_examples():
     assert measure_open({EMPTY_WORD}) == D_ONE
     assert measure_open(words("01")) == Dyadic(1, 2)

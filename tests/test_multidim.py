@@ -29,6 +29,8 @@ from shiftrec.multidim import (
     grid_find_witness,
     grid_kurtz_stage_set,
     pair_index,
+    row_major_strings,
+    shell_words,
     unpair_index,
 )
 from shiftrec.schnorr import schnorr_error_set, schnorr_schedule
@@ -139,6 +141,40 @@ def test_shell_word_prefix_is_restriction():
             assert a.restrict(m).word() == w.take(m**k)
     with pytest.raises(ValueError):
         ArraySample.from_word(2, Word.from_string("101"))
+
+
+def _oracle_shell_word(sample: ArraySample) -> Word:
+    """One sample at a time: its cells sorted by (largest coordinate, row-major)."""
+    cells = sorted(product(range(sample.size), repeat=sample.dimension), key=lambda v: (max(v), v))
+    return Word.from_bits(sample.get(v) for v in cells)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_batch_shell_conversion_matches_per_sample(k, n):
+    rng = random.Random(100 * k + n)
+    texts = ["".join(rng.choice("01") for _ in range(n**k)) for _ in range(25)]
+    samples = [ArraySample.from_bit_string(k, n, t) for t in texts]
+    words = shell_words(k, n, texts)
+    assert words == [_oracle_shell_word(a) for a in samples]
+    assert row_major_strings(k, n, words) == texts
+    assert shell_words(k, n, []) == [] and row_major_strings(k, n, []) == []
+
+
+def test_shell_conversion_rejects_bad_samples_before_building_tables():
+    with pytest.raises(ValueError, match="negative"):
+        shell_words(2, -3, [""])
+    with pytest.raises(ValueError, match="needs 4 bits"):
+        shell_words(2, 2, ["1011", "101"])  # mixed lengths
+    with pytest.raises(ValueError):
+        shell_words(2, 2, ["1021"])
+    with pytest.raises(ValueError):
+        shell_words(0, 2, ["1"])
+    # a size whose cube has 10**18 cells is refused from the bit count alone
+    with pytest.raises(ValueError, match="needs"):
+        shell_words(2, 10**9, ["1"])
+    with pytest.raises(ValueError):
+        row_major_strings(2, 2, [Word(0, 3)])
 
 
 def test_cylinder_measure():
