@@ -52,9 +52,6 @@ class Word(NamedTuple):
         """Remove the first ``n`` bits."""
         return shift(self, n)
 
-    def concat(self, other: "Word") -> "Word":
-        return Word((self.value << other.length) | other.value, self.length + other.length)
-
     def is_prefix_of(self, other: "Word") -> bool:
         return (
             other.length >= self.length

@@ -40,6 +40,10 @@ class TestCertificate:
     stage_budget: int
     space: str = "bits"
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown certificate kind: {self.kind!r}")
+
     @property
     def passes(self) -> bool:
         return self.exact_measure <= self.required_bound
@@ -69,22 +73,31 @@ class TestCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TestCertificate":
+        if not isinstance(data, dict) or not isinstance(data.get("words"), list):
+            raise ValueError("a certificate must be a JSON object whose words are a list")
         space = data.get("space", "bits")
         if space == "bits":
             words = tuple(words_from_strings(data["words"]))
-        else:
+        elif space == "grid":
             from .multidim import shell_words
 
             dim = int(data["parameters"]["dimension"])
             by_size: defaultdict[int, list[str]] = defaultdict(list)
-            for w in data["words"]:
-                by_size[int(w["size"])].append(w["bits"])
+            try:
+                for w in data["words"]:
+                    by_size[w["size"]].append(w["bits"])  # shell_words checks the bits
+                if any(type(size) is not int for size in by_size):
+                    raise TypeError
+            except (TypeError, KeyError):
+                raise ValueError('a grid word must be a {"size": int, "bits": str} record') from None
             words = tuple(
                 chain.from_iterable(
                     sorted(shell_words(dim, size, texts))
                     for size, texts in sorted(by_size.items())
                 )
             )
+        else:
+            raise ValueError(f"unknown certificate space: {space!r}")
         return cls(
             kind=data["kind"],
             parameters=dict(data["parameters"]),
@@ -106,8 +119,6 @@ def new_certificate(
     space: str = "bits",
 ) -> TestCertificate:
     """Build a certificate, refusing to emit one that violates its bound."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown certificate kind: {kind!r}")
     cert = TestCertificate(
         kind, parameters, sorted_words(words), exact_measure, required_bound, stage_budget, space
     )

@@ -31,15 +31,15 @@ from .errors import (
     PrecisionError,
 )
 from .kurtz import kurtz_capture, kurtz_stage_set
-from .measure import ClopenSet, StagedCoEnumeration
+from .measure import ClopenSet, StagedCoEnumeration, keyword_number, stage_tokens
 from .mltest import ml_escape_level, ml_run
 from .multidim import (
     ArrayClopenSet,
-    ArraySample,
     GridMLConstruction,
     SeededGridSource,
     grid_find_witness,
     grid_kurtz_stage_set,
+    shell_words,
 )
 from .recurrence import (
     Pi01Target,
@@ -107,19 +107,9 @@ def _load_class_file(path: str):
 
 
 def _array_coenum_from_text(text: str) -> StagedCoEnumeration:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines[0].startswith("dimension"):
-        raise ValueError("array co-enumeration must start with 'dimension <k>'")
-    dim = int(lines[0].split()[1])
-    stages: dict[int, set[Word]] = {}
-    for ln in lines[1:]:
-        if not ln.startswith("stage"):
-            raise ValueError(f"bad array co-enumeration line: {ln!r}")
-        head, _, rest = ln.partition(":")
-        t = int(head.split()[1])
-        stages.setdefault(t, set()).update(
-            ArraySample.from_bit_string(dim, t, tok).word() for tok in rest.split()
-        )
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    dim = keyword_number(lines[0], "dimension")
+    stages = {t: shell_words(dim, t, tokens) for t, tokens in stage_tokens(lines[1:]).items()}
     return StagedCoEnumeration(stages, dimension=dim)
 
 
@@ -453,6 +443,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("a config file must hold a JSON object")
     flags = set(vars(args)) - {"command", "func"}
     for key, value in conf.items():
         dest = key.replace("-", "_")

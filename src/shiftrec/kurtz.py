@@ -5,12 +5,16 @@ stages are pairwise disjoint, so the survivor measure after stages
 ``0..t`` is exactly ``(1 - p**k)**(t+1)`` where ``p`` is the target
 measure.  The certificate nevertheless enumerates every word of the
 bounding length and counts survivors, so the identity is checked rather
-than assumed.
+than assumed.  The same loop counts grid survivors, whose blocks are the
+scattered shell positions of moved sub-cubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,40 +36,70 @@ class KurtzSchedule:
         """Block spacing at stage t; stage 0 uses the granularity itself."""
         return self.granularity * (self.k + 1) ** t
 
-    def blocks(self, t: int) -> tuple[tuple[int, int], ...]:
-        """(start, length) of the k windows examined at stage t."""
+    def blocks(self, t: int) -> tuple[range, ...]:
+        """Bit positions of the k windows examined at stage t."""
         nt = self.time(t)
-        return tuple((i * nt, self.granularity) for i in range(1, self.k + 1))
+        return tuple(range(i * nt, i * nt + self.granularity) for i in range(1, self.k + 1))
 
     def length_through(self, t: int) -> int:
         return self.k * self.time(t) + self.granularity
 
     def blocks_disjoint_through(self, t: int) -> bool:
-        spans = sorted(
-            span for u in range(t + 1) for span in self.blocks(u)
-        )
-        return all(
-            a + al <= b for (a, al), (b, _) in zip(spans, spans[1:])
-        )
+        spans = sorted((b for u in range(t + 1) for b in self.blocks(u)), key=lambda b: b.start)
+        return all(a.stop <= b.start for a, b in zip(spans, spans[1:]))
+
+
+def _runs(block: Sequence[int], length: int) -> list[tuple[int, int, int]]:
+    """``(shift, mask, place)`` per maximal run of consecutive positions in ``block``:
+    ``((word >> shift) & mask) << place`` is the run's share of the block's value."""
+    runs, start = [], 0
+    for j in range(1, len(block) + 1):
+        if j == len(block) or block[j] != block[j - 1] + 1:
+            runs.append((length - 1 - block[j - 1], (1 << (j - start)) - 1, len(block) - j))
+            start = j
+    return runs
 
 
 def _survivor_values(
-    length: int, stage_starts: list[list[int]], members: frozenset[Word], n0: int
+    length: int,
+    stages: Iterable[Iterable[Sequence[int]]],
+    members: Iterable[int],
+    formula: Dyadic,
+    enumeration_budget: int,
 ) -> list[int]:
-    mask = (1 << n0) - 1
-    member_arr = np.asarray(sorted(w.value for w in members), dtype=np.int64)
+    """Values of the length-``length`` words that survive every stage.
+
+    A stage lists its blocks, each as the bit positions it reads, in block
+    order.  A word survives a stage when the bits of at least one block,
+    read in that order, are not a member value.  All ``2**length`` words are
+    enumerated, so ``stages`` is read only once the budget allows it, and
+    the survivor measure must equal ``formula``.
+    """
+    if (1 << length) > enumeration_budget:
+        raise BudgetExceededError(
+            f"stage set needs all 2^{length} configurations, beyond the budget of "
+            f"{enumeration_budget}"
+        )
+    stage_runs = [[_runs(block, length) for block in blocks] for blocks in stages]
+    member_arr = np.asarray(sorted(members), dtype=np.int64)
     out: list[int] = []
     total = 1 << length
     for lo in range(0, total, _CHUNK):
         arr = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
         keep = np.ones(arr.shape, dtype=bool)
-        for starts in stage_starts:
+        for blocks in stage_runs:
             all_in = np.ones(arr.shape, dtype=bool)
-            for start in starts:
-                vals = (arr >> (length - start - n0)) & mask
-                all_in &= np.isin(vals, member_arr)
+            for runs in blocks:
+                # a one-run block costs one shift and one mask
+                parts = [((arr >> s) & m) << p if p else (arr >> s) & m for s, m, p in runs]
+                all_in &= np.isin(reduce(or_, parts), member_arr)
             keep &= ~all_in
         out.extend(arr[keep].tolist())
+    exact = Dyadic(len(out), length)
+    if exact != formula:
+        raise BoundViolationError(
+            f"survivor measure {exact} differs from the product formula {formula}"
+        )
     return out
 
 
@@ -82,26 +116,16 @@ def kurtz_stage_set(
         raise ValueError("k must be positive and t nonnegative")
     schedule = KurtzSchedule(target.granularity, k)
     length = schedule.length_through(t)
-    if (1 << length) > enumeration_budget:
-        raise BudgetExceededError(
-            f"stage set needs all 2^{length} words, beyond the budget of "
-            f"{enumeration_budget} configurations"
-        )
     if not schedule.blocks_disjoint_through(t):
         raise BoundViolationError(
             f"stage blocks through t = {t} overlap, so the survivor measure is not "
             "the product (1-p^k)^(t+1)"
         )
-    stage_starts = [
-        [start for start, _ in schedule.blocks(u)] for u in range(t + 1)
-    ]
-    values = _survivor_values(length, stage_starts, target.words, target.granularity)
-    exact = Dyadic(len(values), length)
+    stages = [schedule.blocks(u) for u in range(t + 1)]
     formula = (D_ONE - target.measure() ** k) ** (t + 1)
-    if exact != formula:
-        raise BoundViolationError(
-            f"survivor measure {exact} differs from (1-p^k)^(t+1) = {formula}"
-        )
+    values = _survivor_values(
+        length, stages, (w.value for w in target.words), formula, enumeration_budget
+    )
     return new_certificate(
         kind="kurtz-stage",
         parameters={
@@ -111,7 +135,7 @@ def kurtz_stage_set(
             "times": [schedule.time(u) for u in range(t + 1)],
         },
         words=(Word(v, length) for v in values),
-        exact_measure=exact,
+        exact_measure=formula,  # the survivor count equals it
         required_bound=formula,
         stage_budget=t,
     )
@@ -128,10 +152,6 @@ def kurtz_capture(
     """
     schedule = KurtzSchedule(target.granularity, k)
     for t in range(t_max + 1):
-        nt = schedule.time(t)
-        if all(
-            target.contains_word(source.window(i * nt, target.granularity))
-            for i in range(1, k + 1)
-        ):
+        if all(target.contains_word(source.window(b.start, len(b))) for b in schedule.blocks(t)):
             return False, t
     return True, None

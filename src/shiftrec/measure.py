@@ -18,9 +18,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
-from .bitseq import Word, all_words
+from .bitseq import Word, all_words, words_from_strings
 from .dyadic import D_ZERO, Dyadic
 from .errors import BudgetExceededError, NoCertificateError
 
@@ -33,16 +33,43 @@ def is_prefix_free(words: _WordIter) -> bool:
     return len(prefix_reduce(pool)) == len(pool)
 
 
+def uncovered(
+    values: Collection[int], length: int, table: Mapping[int, set[int]]
+) -> Collection[int]:
+    """The values of length-``length`` words that no word of ``table`` (word
+    length -> the values of the words of that length) is a prefix of."""
+    for shorter, prefixes in table.items():
+        if shorter <= length and values:
+            values = [v for v in values if v >> (length - shorter) not in prefixes]
+    return values
+
+
+def _value_buckets(words: _WordIter) -> dict[int, list[int]]:
+    """The words' values bucketed by length, shortest first."""
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for value, length in words:
+        buckets[length].append(value)
+    return dict(sorted(buckets.items()))
+
+
 class PrefixFreeWordSet:
     """A word set in which no member is a proper prefix of another."""
 
-    __slots__ = ("words",)
+    __slots__ = ("words", "_table")
 
     def __init__(self, words: _WordIter, *, _validated: bool = False):
         ws = frozenset(words)
         if not _validated and not is_prefix_free(ws):
             raise ValueError("word set is not prefix-free")
         object.__setattr__(self, "words", ws)
+        object.__setattr__(self, "_table", None)  # values by length, built by covers
+
+    def covers(self, word: Word) -> bool:
+        """Some member is a prefix of ``word``: its cylinder lies in the open set."""
+        if self._table is None:
+            table = {n: set(vs) for n, vs in _value_buckets(self.words).items()}
+            object.__setattr__(self, "_table", table)
+        return not uncovered((word.value,), word.length, self._table)
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeWordSet is immutable")
@@ -72,19 +99,12 @@ def prefix_reduce(words: _WordIter) -> PrefixFreeWordSet:
     """Keep exactly the prefix-minimal members; the open set is unchanged.
 
     The words are bucketed by length once.  Shortest first, a bucket keeps
-    the values ``v`` for which no kept value ``d`` bits shorter equals
-    ``v >> d``.
+    the values that no kept word covers.
     """
     pool = frozenset(words)
-    buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for value, length in pool:
-        buckets[length].append(value)
     kept: dict[int, set[int]] = {}
-    for length in sorted(buckets):
-        values = buckets[length]
-        for shorter, prefixes in kept.items():
-            d = length - shorter
-            values = [v for v in values if v >> d not in prefixes]
+    for length, values in _value_buckets(pool).items():
+        values = uncovered(values, length, kept)
         if values:
             kept[length] = set(values)
     if sum(map(len, kept.values())) == len(pool):
@@ -193,10 +213,27 @@ class ClopenSet:
     @classmethod
     def from_text(cls, text: str) -> "ClopenSet":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("granularity"):
-            raise ValueError("clopen set text must start with 'granularity <n>'")
-        granularity = int(lines[0].split()[1])
+        granularity = keyword_number(lines[0] if lines else "", "granularity")
         return cls(granularity, (Word.from_string(ln) for ln in lines[1:]))
+
+
+def keyword_number(text: str, keyword: str) -> int:
+    """``n`` from a class-file header or stage head ``<keyword> <n>``."""
+    fields = text.split()
+    if len(fields) != 2 or fields[0] != keyword:
+        raise ValueError(f"expected '{keyword} <n>', got {text.strip()!r}")
+    return int(fields[1])
+
+
+def stage_tokens(lines: Iterable[str]) -> dict[int, list[str]]:
+    """The tokens of ``stage <t>: <token> ...`` lines, by stage; blank lines
+    are skipped and repeated stages merged."""
+    stages: dict[int, list[str]] = {}
+    for ln in lines:
+        if ln.strip():
+            head, _, rest = ln.partition(":")
+            stages.setdefault(keyword_number(head, "stage"), []).extend(rest.split())
+    return stages
 
 
 class StagedCoEnumeration:
@@ -242,10 +279,7 @@ class StagedCoEnumeration:
     @classmethod
     def from_words(cls, words: _WordIter) -> "StagedCoEnumeration":
         """Deliver each word at the stage equal to its length."""
-        stages: dict[int, set[Word]] = {}
-        for w in words:
-            stages.setdefault(w.length, set()).add(w)
-        return cls(stages)
+        return cls(words_by_length(words))
 
     @classmethod
     def empty(cls) -> "StagedCoEnumeration":
@@ -323,19 +357,8 @@ class StagedCoEnumeration:
 
     @classmethod
     def from_text(cls, text: str) -> "StagedCoEnumeration":
-        stages: dict[int, set[Word]] = {}
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln:
-                continue
-            if not ln.startswith("stage"):
-                raise ValueError(f"bad co-enumeration line: {ln!r}")
-            head, _, rest = ln.partition(":")
-            t = int(head.split()[1])
-            stages.setdefault(t, set()).update(
-                Word.from_string(tok) for tok in rest.split()
-            )
-        return cls(stages)
+        stages = stage_tokens(text.splitlines())
+        return cls({t: words_from_strings(tokens) for t, tokens in stages.items()})
 
 
 def split_tail(

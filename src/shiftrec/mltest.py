@@ -36,11 +36,13 @@ from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from .errors import BudgetExceededError, InapplicableBoundError
 from .measure import (
+    PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,
     measure_open,
     prefix_reduce,
     split_tail,
+    uncovered,
 )
 
 
@@ -120,9 +122,7 @@ class MLConstruction:
                             )
                         at = self._tau_positions(s, i, t, tau)
                         batch = set(_extensions(sigma, tau, at, length)) - found
-                        for l, values in entered.items():
-                            batch = {v for v in batch if v >> (length - l) not in values}
-                        found |= batch
+                        found.update(uncovered(batch, length, entered))
             if found:
                 entered[length] = found
                 entries.update((Word(v, length), t) for v in found)
@@ -187,13 +187,9 @@ def ml_measure_bound(cert: TestCertificate, q: Dyadic, r: int) -> bool:
     return cert.exact_measure <= q**r
 
 
-def _block_hits_head(word: Word, s: int, k: int, head_by_len: dict[int, frozenset[Word]]) -> bool:
-    for i in range(1, k + 1):
-        start = s * i
-        for dlen, ds in head_by_len.items():
-            if start + dlen <= word.length and word.drop(start).take(dlen) in ds:
-                return True
-    return False
+def _block_covered(words: PrefixFreeWordSet, eta: Word, s: int, k: int) -> bool:
+    """Some shifted block ``eta[s*i:]``, ``1 <= i <= k``, extends a member of ``words``."""
+    return any(words.covers(eta.drop(s * i)) for i in range(1, k + 1) if s * i <= eta.length)
 
 
 def ml_enumerate_G(
@@ -220,12 +216,9 @@ def ml_enumerate_G(
         raise ValueError("escape sets require a prefix-free complement enumeration")
     if measure_open(enumerated) >= D_ONE:
         raise ValueError("escape sets require a target of positive measure")
-    cmap = construction.union_map()
-    cset = frozenset(cmap)
+    cset = frozenset(construction.union_map())
     clengths = sorted({w.length for w in cset})
-    head_by_len = {
-        l: frozenset(d for d in head if d.length == l) for l in {d.length for d in head}
-    }
+    head_set = prefix_reduce(head)
     k = construction.k
 
     def hits(word: Word) -> int:
@@ -235,13 +228,13 @@ def ml_enumerate_G(
                 continue
             if word.take(s) not in cset:
                 continue
-            if _block_hits_head(word, s, k, head_by_len):
+            if _block_covered(head_set, word, s, k):
                 count += 1
         return count
 
     members = [w for w in cset if hits(w) >= m]
     words = prefix_reduce(members)
-    v = D_ONE - measure_open(head)
+    v = D_ONE - measure_open(head_set)
     bound = (D_ONE - v**k) ** m
     return new_certificate(
         kind="ml-Gm",
@@ -256,7 +249,7 @@ def ml_enumerate_G(
 def ml_escape_level(prefix: Word, g_certs: list[TestCertificate]) -> int | None:
     """Least m whose escape set contains no prefix of the given word."""
     for cert in sorted(g_certs, key=lambda c: c.parameters["m"]):
-        if not any(w.is_prefix_of(prefix) for w in cert.words):
+        if not prefix_reduce(cert.words).covers(prefix):
             return cert.parameters["m"]
     return None
 
@@ -277,40 +270,22 @@ def ml_refined_levels(
     if u_max < base_r:
         raise ValueError("u_max must be at least base_r")
     k = construction.k
-    q = k * measure_open(tail_coenum.cumulative(construction.stage_max))
+    tail = prefix_reduce(tail_coenum.cumulative(construction.stage_max))
+    q = k * measure_open(tail)
     if q >= D_ONE:
         raise InapplicableBoundError(f"tail is not light enough: q = {q}")
-    tail_by_len: dict[int, frozenset[Word]] = {}
-    for w in tail_coenum.cumulative(construction.stage_max):
-        tail_by_len.setdefault(w.length, set()).add(w)  # type: ignore[arg-type]
-    tail_by_len = {l: frozenset(ws) for l, ws in tail_by_len.items()}
 
     certs: list[TestCertificate] = []
     current = dict(construction.level(base_r))
     for u in range(base_r, u_max + 1):
         if u > base_r:
-            parents_all = construction.level(u - 1)
-            parent_lengths = sorted({w.length for w in parents_all})
+            # level u - 1 is prefix-free, so a word of current that is a
+            # proper prefix of eta is eta's parent
+            lengths = sorted({w.length for w in current})
             nxt: dict[Word, int] = {}
             for eta, t in construction.level(u).items():
-                parent = None
-                for s in parent_lengths:
-                    if s < t and eta.take(s) in parents_all:
-                        parent = eta.take(s)
-                        break
-                if parent is None or parent not in current:
-                    continue
-                s = parent.length
-                strengthened = False
-                for i in range(1, k + 1):
-                    si = s * i
-                    for tlen, ts in tail_by_len.items():
-                        if si + tlen <= t and tlen <= t - si and eta.drop(si).take(tlen) in ts:
-                            strengthened = True
-                            break
-                    if strengthened:
-                        break
-                if strengthened:
+                s = next((s for s in lengths if s < t and eta.take(s) in current), None)
+                if s is not None and _block_covered(tail, eta, s, k):
                     nxt[eta] = t
             current = nxt
         words = tuple(current)

@@ -24,8 +24,6 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .bitseq import (
     EMPTY_WORD,
     SequenceSource,
@@ -37,7 +35,8 @@ from .bitseq import (
 )
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
-from .errors import BoundViolationError, BudgetExceededError, InsufficientDataError
+from .errors import BudgetExceededError, InsufficientDataError
+from .kurtz import _survivor_values
 from .measure import StagedCoEnumeration, is_prefix_free, measure_open, words_by_length
 from .mltest import MLConstruction
 
@@ -114,7 +113,8 @@ def shell_words(dimension: int, size: int, texts: Sequence[str]) -> list[Word]:
     """Shell words of size-n samples given by their row-major bit strings.
 
     The size and every bit count are checked before any shell table is
-    built; the samples are then reordered together, one strided copy per cell.
+    built, and an empty batch builds none; the samples are then reordered
+    together, one strided copy per cell.
     """
     cells = _cell_count(dimension, size)
     text = joined_bits(texts)
@@ -123,7 +123,7 @@ def shell_words(dimension: int, size: int, texts: Sequence[str]) -> list[Word]:
         raise ValueError(
             f"size-{size} sample in dimension {dimension} needs {cells} bits, got {bad!r}"
         )
-    if not cells:
+    if not (cells and texts):
         return [EMPTY_WORD] * len(texts)
     shell = _regroup(text, cells, _shell_order(dimension, size))
     return [Word(int(shell[i : i + cells], 2), cells) for i in range(0, len(shell), cells)]
@@ -427,38 +427,18 @@ def grid_kurtz_stage_set(
     n1 = target.size
     bound_size = (r + 1) * n1
     total = bound_size**k
-    if (1 << total) > enumeration_budget:
-        raise BudgetExceededError(
-            f"stage set needs all 2^{total} cubes, beyond the budget of "
-            f"{enumeration_budget} configurations"
-        )
-    # [stage][direction] -> shell positions of the examined block
-    block_cells = [
-        [_shifted_block(k, bound_size, n1, axis, stage * n1) for axis in range(k)]
-        for stage in range(1, r + 1)
-    ]
-    members = np.asarray(sorted(a.word().value for a in target.samples), dtype=np.int64)
-    block_bits = n1**k
-    survivors: list[int] = []
-    chunk = 1 << 20
-    for lo in range(0, 1 << total, chunk):
-        arr = np.arange(lo, min(lo + chunk, 1 << total), dtype=np.int64)
-        keep = np.ones(arr.shape, dtype=bool)
-        for per_dir in block_cells:
-            all_in = np.ones(arr.shape, dtype=bool)
-            for cells in per_dir:
-                val = np.zeros(arr.shape, dtype=np.int64)
-                for j, f in enumerate(cells):
-                    val |= ((arr >> (total - 1 - f)) & 1) << (block_bits - 1 - j)
-                all_in &= np.isin(val, members)
-            keep &= ~all_in
-        survivors.extend(arr[keep].tolist())
-    exact = Dyadic(len(survivors), total)
     formula = (D_ONE - target.measure() ** k) ** r
-    if exact != formula:
-        raise BoundViolationError(
-            f"grid survivor measure {exact} differs from (1-p^k)^r = {formula}"
-        )
+    survivors = _survivor_values(
+        total,
+        # per stage and face, the moved block's shell positions, built once the budget allows
+        (
+            (_shifted_block(k, bound_size, n1, axis, stage * n1) for axis in range(k))
+            for stage in range(1, r + 1)
+        ),
+        (a.word().value for a in target.samples),
+        formula,
+        enumeration_budget,
+    )
     return new_certificate(
         kind="kurtz-stage",
         parameters={
@@ -469,7 +449,7 @@ def grid_kurtz_stage_set(
             "product_exact": True,
         },
         words=(Word(v, total) for v in survivors),
-        exact_measure=exact,
+        exact_measure=formula,  # the survivor count equals it
         required_bound=formula,
         stage_budget=r,
         space="grid",
@@ -602,9 +582,8 @@ def flatten_coenum(
     coenum: StagedCoEnumeration, word_budget: int = 1 << 20
 ) -> StagedCoEnumeration:
     """Image of a grid co-enumeration under the bijection, stage = word length."""
-    stages: dict[int, set[Word]] = {}
-    for shell_word in coenum.words():
-        sample = ArraySample.from_word(coenum.dimension, shell_word)
-        for w in flatten_sample(sample, word_budget):
-            stages.setdefault(w.length, set()).add(w)
-    return StagedCoEnumeration(stages)
+    return StagedCoEnumeration.from_words(
+        w
+        for shell_word in coenum.words()
+        for w in flatten_sample(ArraySample.from_word(coenum.dimension, shell_word), word_budget)
+    )

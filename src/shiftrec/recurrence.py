@@ -16,23 +16,20 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .bitseq import PseudorandomSource, SequenceSource, Word
-from .measure import ClopenSet, StagedCoEnumeration
+from .measure import ClopenSet, StagedCoEnumeration, prefix_reduce
 
 
 class Pi01Target:
     """An effectively closed target, examined at a fixed stage budget."""
 
-    __slots__ = ("coenum", "stage_budget", "_by_length")
+    __slots__ = ("coenum", "stage_budget", "complement")
 
     def __init__(self, coenum: StagedCoEnumeration, stage_budget: int):
         if stage_budget < 0:
             raise ValueError("stage budget must be nonnegative")
         object.__setattr__(self, "coenum", coenum)
         object.__setattr__(self, "stage_budget", stage_budget)
-        by_length: dict[int, set[Word]] = {}
-        for w in coenum.cumulative(stage_budget):
-            by_length.setdefault(w.length, set()).add(w)
-        object.__setattr__(self, "_by_length", by_length)
+        object.__setattr__(self, "complement", prefix_reduce(coenum.cumulative(stage_budget)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Pi01Target is immutable")
@@ -43,9 +40,7 @@ class Pi01Target:
 
     def contains_word(self, w: Word) -> bool:
         """No enumerated complement word is a prefix of ``w``."""
-        return not any(
-            w.take(l) in ws for l, ws in self._by_length.items() if l <= w.length
-        )
+        return not self.complement.covers(w)
 
 
 Target = Union[ClopenSet, Pi01Target]

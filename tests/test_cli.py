@@ -163,6 +163,29 @@ def test_bad_class_file_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("kurtz", "--k", "1"), "granularity\n1\n"),
+        (("mltest", "--k", "1"), "stage: 11\n"),
+        (("grid", "--op", "ml"), "dimension\nstage 2: 1011\n"),
+    ],
+    ids=["granularity", "stage", "dimension"],
+)
+def test_class_file_header_without_number_is_usage_error(argv, text, tmp_path, capsys):
+    path = tmp_path / "class.txt"
+    path.write_text(text)
+    assert main([*argv, "--class-file", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text("[1, 2]")
+    assert main(["kurtz", "--config", str(conf)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"clopen": "1", "k": 2, "t-max": 2}))
@@ -345,3 +368,39 @@ def test_documented_json_output_matches_json_dumps(command, tmp_path, monkeypatc
     code, out = run_cli(capsys, *shlex.split(command)[1:])
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def _one_certificate(tmp_path, argv, edit):
+    """The first certificate of ``argv``'s output, edited, alone in a file."""
+    src = tmp_path / "out.json"
+    assert main([*argv, "--out", str(src)]) == 0
+    cert = json.loads(src.read_text())["certificates"][0]
+    edit(cert)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({"certificates": [cert]}))
+    return path
+
+
+KURTZ_ARGV = ("kurtz", "--clopen", "1", "--k", "1", "--t-max", "1")
+GRID_ARGV = ("grid", "--op", "kurtz", "--dimension", "2", "--n1", "1", "--target-bits", "1",
+             "--r", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, edit",
+    [
+        # a string is not a word list, though iterating it yields bit strings
+        (KURTZ_ARGV, lambda c: c.update(kind="ml-Cr", words="0101", exact_measure="1",
+                                        required_bound="1", stage_budget=4)),
+        (GRID_ARGV, lambda c: c.update(words=["1"])),
+        (GRID_ARGV, lambda c: c.update(words=[{"size": "1", "bits": "1"}])),
+        (KURTZ_ARGV, lambda c: c.update(kind="bogus")),
+        (GRID_ARGV, lambda c: c.update(space="moon")),
+    ],
+    ids=["string-words", "grid-word-not-record", "grid-size-not-int", "unknown-kind",
+         "unknown-space"],
+)
+def test_verify_rejects_malformed_certificate(argv, edit, tmp_path, capsys):
+    path = _one_certificate(tmp_path, argv, edit)
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err

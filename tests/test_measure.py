@@ -51,6 +51,29 @@ def test_prefix_reduction_matches_pairwise_oracle(ws):
     assert is_prefix_free(ws) == (minimal == pool)
 
 
+short_words = st.integers(0, 8).flatmap(
+    lambda n: st.integers(0, (1 << n) - 1).map(lambda v: Word(v, n))
+)
+
+
+@given(word_sets, short_words)
+def test_covers_matches_brute_force(ws, w):
+    # ws need not be prefix-free; reduction keeps the covered cylinders
+    reduced = prefix_reduce(ws)
+    for j in range(w.length + 1):  # the short prefixes are often shorter than every member
+        u = w.take(j)
+        assert reduced.covers(u) == any(m.is_prefix_of(u) for m in ws)
+
+
+def test_covers_examples():
+    s = prefix_reduce(words("0", "01", "110"))
+    assert s.covers(W("0")) and s.covers(W("0111")) and s.covers(W("1101"))
+    assert not s.covers(W("1")) and not s.covers(W("11")) and not s.covers(W("111"))
+    assert not s.covers(EMPTY_WORD)
+    assert prefix_reduce({EMPTY_WORD}).covers(EMPTY_WORD)
+    assert not prefix_reduce(set()).covers(W("0"))
+
+
 def test_measure_open_examples():
     assert measure_open({EMPTY_WORD}) == D_ONE
     assert measure_open(words("01")) == Dyadic(1, 2)

@@ -269,6 +269,37 @@ def test_grid_kurtz_budget():
         grid_kurtz_stage_set(target, 5)
 
 
+def _survives_by_cells(sample, target, r):
+    """Whether some face's moved block escapes the target at every stage 1..r,
+    read cell by cell."""
+    k, n1 = target.dimension, target.size
+    members = {a.bits for a in target.samples}
+    for stage in range(1, r + 1):
+        if all(
+            tuple(
+                sample.get(tuple(c + stage * n1 * (a == axis) for a, c in enumerate(v)))
+                for v in product(range(n1), repeat=k)
+            )
+            in members
+            for axis in range(k)
+        ):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k, n1, target_bits", [(2, 2, "1011"), (3, 1, "1")])
+def test_grid_kurtz_multi_cell_blocks_match_cell_oracle(k, n1, target_bits):
+    target = ArrayClopenSet.from_bit_strings(k, n1, [target_bits])
+    cert = grid_kurtz_stage_set(target, 1)
+    size = 2 * n1
+    survivors = set(row_major_strings(k, size, cert.words))
+    assert len(survivors) == len(cert.words)
+    for value in range(1 << size**k):
+        bits = format(value, f"0{size**k}b")
+        sample = ArraySample.from_bit_string(k, size, bits)
+        assert _survives_by_cells(sample, target, 1) == (bits in survivors)
+
+
 # --- grid level sets against a flat-string oracle --------------------------------
 
 
