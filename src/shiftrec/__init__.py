@@ -54,7 +54,6 @@ from .mltest import (
     ml_test_refinement,
 )
 from .multidim import (
-    ArrayClopenSet,
     ArraySample,
     ExplicitGridSource,
     GridMLConstruction,
@@ -63,13 +62,8 @@ from .multidim import (
     array_measure_open,
     arrays_prefix_free,
     face_shift,
-    flatten_coenum,
-    flatten_sample,
-    flattened_source,
     grid_find_witness,
     grid_kurtz_stage_set,
-    pair_index,
-    unpair_index,
 )
 from .recurrence import (
     BatchSummary,

@@ -75,13 +75,21 @@ class TestCertificate:
     def from_json_dict(cls, data: dict) -> "TestCertificate":
         if not isinstance(data, dict) or not isinstance(data.get("words"), list):
             raise ValueError("a certificate must be a JSON object whose words are a list")
+        parameters, budget = data["parameters"], data["stage_budget"]
+        if not isinstance(parameters, dict) or type(parameters.get("dimension", 1)) is not int:
+            raise ValueError("certificate parameters must be an object, with an integer dimension")
+        if type(budget) is not int:
+            raise ValueError(f"a stage budget must be an integer, got {budget!r}")
+        measures = (data["exact_measure"], data["required_bound"])
+        if not all(isinstance(m, str) for m in measures):
+            raise ValueError(f"a measure and a bound must be dyadic strings, got {measures!r}")
         space = data.get("space", "bits")
         if space == "bits":
             words = tuple(words_from_strings(data["words"]))
         elif space == "grid":
             from .multidim import shell_words
 
-            dim = int(data["parameters"]["dimension"])
+            dim = parameters["dimension"]
             by_size: defaultdict[int, list[str]] = defaultdict(list)
             try:
                 for w in data["words"]:
@@ -100,11 +108,11 @@ class TestCertificate:
             raise ValueError(f"unknown certificate space: {space!r}")
         return cls(
             kind=data["kind"],
-            parameters=dict(data["parameters"]),
+            parameters=dict(parameters),
             words=words,
-            exact_measure=Dyadic.from_string(data["exact_measure"]),
-            required_bound=Dyadic.from_string(data["required_bound"]),
-            stage_budget=int(data["stage_budget"]),
+            exact_measure=Dyadic.from_string(measures[0]),
+            required_bound=Dyadic.from_string(measures[1]),
+            stage_budget=budget,
             space=space,
         )
 
@@ -220,11 +228,13 @@ _CERT_KEYS = ("certificates", "g_certificates", "refined_certificates")
 
 
 def certificates_from_json(text: str) -> list[TestCertificate]:
+    """The certificates of a file: the lists under the certificate keys of an
+    object, a bare list, or else one certificate object."""
     data = json.loads(text)
     if isinstance(data, dict):
-        items = [c for key in _CERT_KEYS for c in data.get(key, [])]
-        if not items:
-            items = [data]
+        lists = [data[key] for key in _CERT_KEYS if key in data] or [[data]]
     else:
-        items = data
-    return [TestCertificate.from_json_dict(item) for item in items]
+        lists = [data]
+    if not all(isinstance(v, list) for v in lists):
+        raise ValueError("certificates must be given as a JSON list")
+    return [TestCertificate.from_json_dict(item) for item in chain.from_iterable(lists)]

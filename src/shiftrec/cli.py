@@ -34,7 +34,6 @@ from .kurtz import kurtz_capture, kurtz_stage_set
 from .measure import ClopenSet, StagedCoEnumeration, keyword_number, stage_tokens
 from .mltest import ml_escape_level, ml_run
 from .multidim import (
-    ArrayClopenSet,
     GridMLConstruction,
     SeededGridSource,
     grid_find_witness,
@@ -269,11 +268,13 @@ def _cmd_mltest(args) -> int:
 
 def _cmd_grid(args) -> int:
     dim = args.dimension if args.dimension is not None else 2
-    if args.op == "witness":
+    if args.op in ("witness", "kurtz"):
         if not args.target_bits:
-            raise ValueError("grid witness needs --target-bits")
+            raise ValueError(f"grid {args.op} needs --target-bits")
         n1 = args.n1 if args.n1 is not None else 1
-        target = ArrayClopenSet.from_bit_strings(dim, n1, args.target_bits.split(","))
+        words = shell_words(dim, n1, args.target_bits.split(","))
+        target = ClopenSet(n1**dim, words)
+    if args.op == "witness":
         seed = args.seed[0] if args.seed else 0
         grid = SeededGridSource(seed, dim)
         n = grid_find_witness(grid, target, args.n_max if args.n_max is not None else 64)
@@ -285,22 +286,9 @@ def _cmd_grid(args) -> int:
         )
         return 0
     if args.op == "kurtz":
-        if not args.target_bits:
-            raise ValueError("grid kurtz needs --target-bits")
-        n1 = args.n1 if args.n1 is not None else 1
-        target = ArrayClopenSet.from_bit_strings(dim, n1, args.target_bits.split(","))
         r = args.r if args.r is not None else 1
-        certs = [grid_kurtz_stage_set(target, stage) for stage in range(1, r + 1)]
-        payload = {
-            "subcommand": "grid",
-            "op": "kurtz",
-            "certificates": [c.to_json_dict() for c in certs],
-            "all_pass": all(c.passes for c in certs),
-        }
-        text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
-        _emit(text, args.out)
-        return 0
-    if args.op == "ml":
+        certs = [grid_kurtz_stage_set(target, dim, stage) for stage in range(1, r + 1)]
+    elif args.op == "ml":
         if not args.class_file:
             raise ValueError("grid ml needs --class-file with an array co-enumeration")
         coenum = _load_class_file(args.class_file)
@@ -310,16 +298,17 @@ def _cmd_grid(args) -> int:
         r_max = args.r if args.r is not None else 1
         con = GridMLConstruction(coenum, stage_max)
         certs = [con.level_certificate(r) for r in range(r_max + 1)]
-        payload = {
-            "subcommand": "grid",
-            "op": "ml",
-            "certificates": [c.to_json_dict() for c in certs],
-            "all_pass": all(c.passes for c in certs),
-        }
-        text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
-        _emit(text, args.out)
-        return 0
-    raise ValueError(f"unknown grid op {args.op!r}")
+    else:
+        raise ValueError(f"unknown grid op {args.op!r}")
+    payload = {
+        "subcommand": "grid",
+        "op": args.op,
+        "certificates": [c.to_json_dict() for c in certs],
+        "all_pass": all(c.passes for c in certs),
+    }
+    text = _cert_csv(certs) if args.format == "csv" else json_text(payload)
+    _emit(text, args.out)
+    return 0
 
 
 def _cmd_rotate(args) -> int:
@@ -371,7 +360,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"certificate {idx} ({cert.kind}): " + "; ".join(problems))
         else:
             lines.append(f"certificate {idx} ({cert.kind}): ok")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines or ["no certificates"]) + "\n", args.out)
     return 1 if bad else 0
 
 

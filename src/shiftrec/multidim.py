@@ -7,18 +7,18 @@ a size-n sample has measure ``2**-(n**k)``.
 Read in shell order -- cells ordered by their largest coordinate, then
 row-major -- every size-m sub-cube is the first ``m**k`` cells of the cube.
 A size-n sample is therefore a word of length ``n**k`` (its *shell word*),
-restriction is :meth:`Word.take`, and the open sets, staged
-co-enumerations and level loop of the one-dimensional modules serve grids
-unchanged.  :class:`ArraySample` remains the input/output type and the type
-of witness search.  Co-enumerations with computable measure are carried to
-one dimension by :func:`flatten_coenum` and :func:`flattened_source` through
-the graded diagonal bijection, where the scheduled error-set machinery
-applies unchanged.
+restriction is :meth:`Word.take`, and the shell order is the bijection that
+carries grids to one dimension: cube cylinders become word cylinders of the
+same measure.  The open sets, clopen targets, staged co-enumerations and
+level loop of the one-dimensional modules serve grids unchanged, and a grid
+class's shell words, read as a one-dimensional co-enumeration
+(``StagedCoEnumeration.from_words(coenum.words())``), bring the scheduled
+error-set machinery to grids.  :class:`ArraySample` remains the
+input/output type.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitseq import (
     EMPTY_WORD,
-    SequenceSource,
     Word,
     _GAMMA,
     _mix64,
@@ -35,9 +34,9 @@ from .bitseq import (
 )
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
-from .errors import BudgetExceededError, InsufficientDataError
+from .errors import InsufficientDataError
 from .kurtz import _survivor_values
-from .measure import StagedCoEnumeration, is_prefix_free, measure_open, words_by_length
+from .measure import ClopenSet, StagedCoEnumeration, is_prefix_free, measure_open, words_by_length
 from .mltest import MLConstruction
 
 _SampleIter = Iterable["ArraySample"]
@@ -85,6 +84,8 @@ def _shell_order(dimension: int, size: int) -> tuple[int, ...]:
 
 
 def _cube_side(cells: int, dimension: int) -> int:
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
     side = round(cells ** (1 / dimension))
     if side**dimension != cells:
         raise ValueError(f"{cells} bits do not fill a cube in dimension {dimension}")
@@ -287,6 +288,10 @@ class GridSource:
     def sample(self, size: int) -> ArraySample:
         return ArraySample.from_function(self.dimension, size, self.bit)
 
+    def shell_word(self, size: int) -> Word:
+        """The shell word of the size-n sample, read cell by cell in shell order."""
+        return Word.from_bits(self.bit(v) for v in _shell_cells(self.dimension, size))
+
 
 class SeededGridSource(GridSource):
     """splitmix64-mixed coordinates: ``h = mix64(seed + GAMMA)`` then
@@ -361,51 +366,19 @@ def array_measure_open(samples: _SampleIter) -> Dyadic:
     return measure_open(a.word() for a in samples)
 
 
-class ArrayClopenSet:
-    """A clopen grid target: samples of one fixed size."""
-
-    __slots__ = ("dimension", "size", "samples")
-
-    def __init__(self, dimension: int, size: int, samples: _SampleIter):
-        if size < 1:
-            raise ValueError("target size must be at least 1")
-        ss = frozenset(samples)
-        for a in ss:
-            if a.dimension != dimension or a.size != size:
-                raise ValueError(f"sample {a} does not match dimension {dimension}, size {size}")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "samples", ss)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ArrayClopenSet is immutable")
-
-    @classmethod
-    def from_bit_strings(cls, dimension: int, size: int, texts: Iterable[str]) -> "ArrayClopenSet":
-        return cls(
-            dimension, size, (ArraySample.from_bit_string(dimension, size, t) for t in texts)
-        )
-
-    def measure(self) -> Dyadic:
-        return Dyadic(len(self.samples), self.size**self.dimension)
-
-    def contains_sample(self, sample: ArraySample) -> bool:
-        if sample.size < self.size:
-            raise ValueError(f"sample of size {sample.size} too small for target size {self.size}")
-        return sample.restrict(self.size) in self.samples
-
-
 # --- recurrence and certificates ------------------------------------------------
 
 
-def grid_find_witness(grid: GridSource, target: ArrayClopenSet, n_max: int) -> int | None:
-    """Least n <= n_max whose k simultaneous face shifts all land in the target."""
+def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | None:
+    """Least n <= n_max whose k simultaneous face shifts all land in the target,
+    a clopen set of the shell words of one cube size."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    k = target.dimension
+    k = grid.dimension
+    n1 = _cube_side(target.granularity, k)
     for n in range(1, n_max + 1):
         if all(
-            target.contains_sample(face_shift(grid, i, n).sample(target.size))
+            target.contains_word(face_shift(grid, i, n).shell_word(n1))
             for i in range(1, k + 1)
         ):
             return n
@@ -413,18 +386,19 @@ def grid_find_witness(grid: GridSource, target: ArrayClopenSet, n_max: int) -> i
 
 
 def grid_kurtz_stage_set(
-    target: ArrayClopenSet, r: int, enumeration_budget: int = 1 << 24
+    target: ClopenSet, dimension: int, r: int, enumeration_budget: int = 1 << 24
 ) -> TestCertificate:
     """Grid survivors through stages 1..r, shift amount ``r' * n1`` at stage r'.
 
-    The examined blocks are pairwise disjoint cells, so the exhaustive count
+    The target is a clopen set of the shell words of size-n1 cubes.  The
+    examined blocks are pairwise disjoint cells, so the exhaustive count
     must reproduce ``(1 - p**k)**r`` exactly; the construction still counts
     rather than assumes, and refuses to emit a violating certificate.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    k = target.dimension
-    n1 = target.size
+    k = dimension
+    n1 = _cube_side(target.granularity, k)
     bound_size = (r + 1) * n1
     total = bound_size**k
     formula = (D_ONE - target.measure() ** k) ** r
@@ -435,7 +409,7 @@ def grid_kurtz_stage_set(
             (_shifted_block(k, bound_size, n1, axis, stage * n1) for axis in range(k))
             for stage in range(1, r + 1)
         ),
-        (a.word().value for a in target.samples),
+        (w.value for w in target.words),
         formula,
         enumeration_budget,
     )
@@ -483,107 +457,3 @@ class GridMLConstruction(MLConstruction):
 
     def level_certificate(self, r: int) -> TestCertificate:
         return self._level_certificate(r, {"dimension": self.k}, space="grid")
-
-
-# --- the graded diagonal bijection and the one-dimensional reduction ------------
-
-
-def _tuples_with_sum(length: int, total: int) -> int:
-    return math.comb(total + length - 1, length - 1)
-
-
-def pair_index(coords: tuple[int, ...]) -> int:
-    """Graded diagonal index: order by coordinate sum, then lexicographically."""
-    k = len(coords)
-    if k < 1 or any(c < 0 for c in coords):
-        raise ValueError("coordinates must be nonnegative and nonempty")
-    if k == 1:
-        return coords[0]
-    total = sum(coords)
-    idx = math.comb(total + k - 1, k)  # all tuples with a smaller sum
-    rem = total
-    for j in range(k - 1):
-        length = k - j - 1
-        for smaller in range(coords[j]):
-            idx += _tuples_with_sum(length, rem - smaller)
-        rem -= coords[j]
-    return idx
-
-
-def unpair_index(index: int, dimension: int) -> tuple[int, ...]:
-    """Inverse of :func:`pair_index`."""
-    if index < 0 or dimension < 1:
-        raise ValueError("index must be nonnegative, dimension positive")
-    if dimension == 1:
-        return (index,)
-    total = 0
-    while math.comb(total + dimension, dimension) <= index:
-        total += 1
-    rem = index - math.comb(total + dimension - 1, dimension)
-    coords = []
-    left = total
-    for j in range(dimension - 1):
-        length = dimension - j - 1
-        c = 0
-        while rem >= _tuples_with_sum(length, left - c):
-            rem -= _tuples_with_sum(length, left - c)
-            c += 1
-        coords.append(c)
-        left -= c
-    coords.append(left)
-    return tuple(coords)
-
-
-class _FlattenedGridSource(SequenceSource):
-    def __init__(self, grid: GridSource):
-        self.grid = grid
-
-    def bit(self, index: int) -> int:
-        return self.grid.bit(unpair_index(index, self.grid.dimension))
-
-
-def flattened_source(grid: GridSource) -> SequenceSource:
-    """The grid read out along the graded diagonal bijection."""
-    return _FlattenedGridSource(grid)
-
-
-def flatten_sample(sample: ArraySample, word_budget: int = 1 << 20) -> frozenset[Word]:
-    """Words denoting the image of the sample's cylinder in one dimension.
-
-    The cube's cells map to scattered positions below ``L = pair(n-1,..,n-1)+1``;
-    every combination of the remaining free positions yields one word of
-    length L, so the word count is ``2**(L - n**k)``.
-    """
-    k = sample.dimension
-    posmap = {
-        pair_index(v): sample.get(v) for v in product(range(sample.size), repeat=k)
-    }
-    if not posmap:
-        return frozenset([Word(0, 0)])
-    length = max(posmap) + 1
-    free = [p for p in range(length) if p not in posmap]
-    if (1 << len(free)) > word_budget:
-        raise BudgetExceededError(
-            f"flattening needs 2^{len(free)} words, beyond {word_budget}"
-        )
-    base = 0
-    for p, b in posmap.items():
-        base |= b << (length - 1 - p)
-    words = []
-    for assign in range(1 << len(free)):
-        value = base
-        for j, p in enumerate(free):
-            value |= ((assign >> j) & 1) << (length - 1 - p)
-        words.append(Word(value, length))
-    return frozenset(words)
-
-
-def flatten_coenum(
-    coenum: StagedCoEnumeration, word_budget: int = 1 << 20
-) -> StagedCoEnumeration:
-    """Image of a grid co-enumeration under the bijection, stage = word length."""
-    return StagedCoEnumeration.from_words(
-        w
-        for shell_word in coenum.words()
-        for w in flatten_sample(ArraySample.from_word(coenum.dimension, shell_word), word_budget)
-    )

@@ -30,7 +30,6 @@ from shiftrec.mltest import (
     ml_refined_levels,
 )
 from shiftrec.multidim import (
-    ArrayClopenSet,
     ArraySample,
     GridMLConstruction,
     SeededGridSource,
@@ -261,8 +260,8 @@ def test_criterion_7_multidim():
             for s in (0, 1, 3):
                 assert face_shift(grid, i, s).sample(3) == grid.sample(3 + s).crop(i, s)
 
-        target = ArrayClopenSet(2, 1, {ArraySample(2, 1, (1,))})
-        cert = grid_kurtz_stage_set(target, 1)
+        target = ClopenSet(1, {ArraySample(2, 1, (1,)).word()})
+        cert = grid_kurtz_stage_set(target, 2, 1)
         assert cert.exact_measure == Dyadic(3, 2)
         oracle = sum(
             1

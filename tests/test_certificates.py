@@ -17,7 +17,7 @@ from shiftrec.dyadic import Dyadic
 from shiftrec.errors import BoundViolationError
 from shiftrec.kurtz import kurtz_stage_set
 from shiftrec.measure import ClopenSet
-from shiftrec.multidim import ArrayClopenSet, ArraySample, grid_kurtz_stage_set
+from shiftrec.multidim import ArraySample, grid_kurtz_stage_set
 
 
 def W(text):
@@ -64,8 +64,8 @@ def test_json_roundtrip_bits():
 
 
 def test_json_roundtrip_grid():
-    target = ArrayClopenSet(2, 1, {ArraySample(2, 1, (1,))})
-    cert = grid_kurtz_stage_set(target, 1)
+    target = ClopenSet(1, {ArraySample(2, 1, (1,)).word()})
+    cert = grid_kurtz_stage_set(target, 2, 1)
     back = certificates_from_json(certificates_to_json([cert]))[0]
     assert back.words == cert.words
     assert verify_certificate(back) == []

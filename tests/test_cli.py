@@ -396,11 +396,41 @@ GRID_ARGV = ("grid", "--op", "kurtz", "--dimension", "2", "--n1", "1", "--target
         (GRID_ARGV, lambda c: c.update(words=[{"size": "1", "bits": "1"}])),
         (KURTZ_ARGV, lambda c: c.update(kind="bogus")),
         (GRID_ARGV, lambda c: c.update(space="moon")),
+        (KURTZ_ARGV, lambda c: c.update(exact_measure=5)),
+        (KURTZ_ARGV, lambda c: c.update(required_bound=[1])),
+        (KURTZ_ARGV, lambda c: c.update(stage_budget=None)),
+        (KURTZ_ARGV, lambda c: c.update(parameters=5)),
     ],
     ids=["string-words", "grid-word-not-record", "grid-size-not-int", "unknown-kind",
-         "unknown-space"],
+         "unknown-space", "measure-not-string", "bound-not-string", "budget-null",
+         "parameters-not-object"],
 )
 def test_verify_rejects_malformed_certificate(argv, edit, tmp_path, capsys):
     path = _one_certificate(tmp_path, argv, edit)
     assert main(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", '{"certificates": 5}'], ids=["number", "list-not-list"])
+def test_verify_rejects_malformed_certificate_file(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kurtz", "--clopen", "1", "--t-max", "0"),
+        ("grid", "--op", "kurtz", "--target-bits", "1", "--r", "0"),
+        ("schnorr", "--clopen", "1", "--t-max", "0"),
+    ],
+    ids=["kurtz", "grid-kurtz", "schnorr"],
+)
+def test_verify_reads_empty_certificate_list(argv, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["certificates"] == []
+    code, out = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (0, "no certificates\n")

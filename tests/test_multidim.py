@@ -1,7 +1,8 @@
 """Grid samples, face shifts, and the grid certificates.
 
-The level-set oracle here works on flat row-major bit strings with manual
-index arithmetic, independent of the ArraySample machinery it checks.
+The shell order is the one bijection between grids and words.  The oracles
+here work on flat row-major bit strings with manual index arithmetic, or
+read the grid cell by cell, independent of the shell order they check.
 """
 
 import random
@@ -12,9 +13,8 @@ import pytest
 from shiftrec.bitseq import Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BudgetExceededError
-from shiftrec.measure import StagedCoEnumeration, is_prefix_free, measure_open, prefix_reduce
+from shiftrec.measure import ClopenSet, StagedCoEnumeration, is_prefix_free, prefix_reduce
 from shiftrec.multidim import (
-    ArrayClopenSet,
     ArraySample,
     ExplicitGridSource,
     GridMLConstruction,
@@ -23,15 +23,10 @@ from shiftrec.multidim import (
     array_measure_open,
     arrays_prefix_free,
     face_shift,
-    flatten_coenum,
-    flatten_sample,
-    flattened_source,
     grid_find_witness,
     grid_kurtz_stage_set,
-    pair_index,
     row_major_strings,
     shell_words,
-    unpair_index,
 )
 from shiftrec.schnorr import schnorr_error_set, schnorr_schedule
 
@@ -210,16 +205,16 @@ def test_grid_source_determinism():
 
 
 def test_grid_find_witness_examples():
-    full = ArrayClopenSet(2, 1, {ONE_CELL, ZERO_CELL})
+    full = ClopenSet(1, {ONE_CELL.word(), ZERO_CELL.word()})
     assert grid_find_witness(SeededGridSource(9, 2), full, 10) == 1
 
     zeros = ExplicitGridSource(ArraySample(2, 0, ()), 0)
-    ones_target = ArrayClopenSet(2, 1, {ONE_CELL})
+    ones_target = ClopenSet(1, {ONE_CELL.word()})
     assert grid_find_witness(zeros, ones_target, 50) is None
 
 
 def test_grid_find_witness_matches_scan_oracle():
-    target = ArrayClopenSet(2, 1, {ONE_CELL})
+    target = ClopenSet(1, {ONE_CELL.word()})
     for seed in range(20):
         grid = SeededGridSource(seed, 2)
         got = grid_find_witness(grid, target, 64)
@@ -235,8 +230,8 @@ def test_grid_find_witness_matches_scan_oracle():
 
 
 def test_grid_kurtz_single_stage():
-    target = ArrayClopenSet(2, 1, {ONE_CELL})
-    cert = grid_kurtz_stage_set(target, 1)
+    target = ClopenSet(1, {ONE_CELL.word()})
+    cert = grid_kurtz_stage_set(target, 2, 1)
     assert cert.exact_measure == Dyadic(3, 2)  # 1 - (1/2)^2
     assert len(cert.words) == 12
     # oracle: scan the 16 two-by-two cubes directly
@@ -249,38 +244,36 @@ def test_grid_kurtz_single_stage():
 
 
 def test_grid_kurtz_full_target_empty():
-    full = ArrayClopenSet(2, 1, {ONE_CELL, ZERO_CELL})
-    cert = grid_kurtz_stage_set(full, 1)
+    full = ClopenSet(1, {ONE_CELL.word(), ZERO_CELL.word()})
+    cert = grid_kurtz_stage_set(full, 2, 1)
     assert cert.exact_measure == D_ZERO
 
 
 def test_grid_kurtz_product_across_stages():
     # cross-stage independence checked by enumeration, not assumed
-    target = ArrayClopenSet(2, 1, {ONE_CELL})
+    target = ClopenSet(1, {ONE_CELL.word()})
     for r in (1, 2, 3):
-        cert = grid_kurtz_stage_set(target, r)
+        cert = grid_kurtz_stage_set(target, 2, r)
         assert cert.exact_measure == (D_ONE - Dyadic(1, 2)) ** r
         assert cert.parameters["product_exact"]
 
 
 def test_grid_kurtz_budget():
-    target = ArrayClopenSet(2, 1, {ONE_CELL})
+    target = ClopenSet(1, {ONE_CELL.word()})
     with pytest.raises(BudgetExceededError):
-        grid_kurtz_stage_set(target, 5)
+        grid_kurtz_stage_set(target, 2, 5)
 
 
-def _survives_by_cells(sample, target, r):
+def _survives_by_cells(sample, k, n1, target_bits, r):
     """Whether some face's moved block escapes the target at every stage 1..r,
-    read cell by cell."""
-    k, n1 = target.dimension, target.size
-    members = {a.bits for a in target.samples}
+    read cell by cell; the target is a set of row-major bit strings."""
     for stage in range(1, r + 1):
         if all(
-            tuple(
-                sample.get(tuple(c + stage * n1 * (a == axis) for a, c in enumerate(v)))
+            "".join(
+                str(sample.get(tuple(c + stage * n1 * (a == axis) for a, c in enumerate(v))))
                 for v in product(range(n1), repeat=k)
             )
-            in members
+            in target_bits
             for axis in range(k)
         ):
             return False
@@ -289,15 +282,48 @@ def _survives_by_cells(sample, target, r):
 
 @pytest.mark.parametrize("k, n1, target_bits", [(2, 2, "1011"), (3, 1, "1")])
 def test_grid_kurtz_multi_cell_blocks_match_cell_oracle(k, n1, target_bits):
-    target = ArrayClopenSet.from_bit_strings(k, n1, [target_bits])
-    cert = grid_kurtz_stage_set(target, 1)
+    target = ClopenSet(n1**k, shell_words(k, n1, [target_bits]))
+    cert = grid_kurtz_stage_set(target, k, 1)
     size = 2 * n1
     survivors = set(row_major_strings(k, size, cert.words))
     assert len(survivors) == len(cert.words)
     for value in range(1 << size**k):
         bits = format(value, f"0{size**k}b")
         sample = ArraySample.from_bit_string(k, size, bits)
-        assert _survives_by_cells(sample, target, 1) == (bits in survivors)
+        assert _survives_by_cells(sample, k, n1, {target_bits}, 1) == (bits in survivors)
+
+
+def _witness_by_cells(grid, k, n1, target_bits, n_max):
+    """Least n whose k face-shifted size-n1 blocks, read cell by cell in
+    row-major order, all lie in ``target_bits``."""
+    for n in range(1, n_max + 1):
+        if all(
+            "".join(
+                str(grid.bit(tuple(c + n * (a == axis) for a, c in enumerate(v))))
+                for v in product(range(n1), repeat=k)
+            )
+            in target_bits
+            for axis in range(k)
+        ):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("k, n1", [(2, 2), (3, 2), (2, 3)])
+def test_grid_find_witness_multi_cell_targets_match_cell_oracle(k, n1):
+    rng = random.Random(10 * k + n1)
+    cells = n1**k
+    # half of all blocks, so that witnesses come early and misses are seen too
+    target_bits = set(rng.sample([format(v, f"0{cells}b") for v in range(1 << cells)],
+                                 1 << (cells - 1)))
+    target = ClopenSet(cells, shell_words(k, n1, sorted(target_bits)))
+    found = 0
+    for seed in range(12):
+        grid = SeededGridSource(seed, k)
+        got = grid_find_witness(grid, target, 6)
+        assert got == _witness_by_cells(grid, k, n1, target_bits, 6)
+        found += got is not None
+    assert 0 < found < 12
 
 
 # --- grid level sets against a flat-string oracle --------------------------------
@@ -413,41 +439,11 @@ def test_grid_levels_prefix_free_and_staged():
         assert cert.exact_measure <= cert.required_bound
 
 
-# --- the graded diagonal bijection ------------------------------------------------
-
-
-def test_pairing_first_values():
-    order = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-    assert [pair_index(c) for c in order] == list(range(6))
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_pairing_roundtrip(k):
-    for idx in range(500):
-        coords = unpair_index(idx, k)
-        assert pair_index(coords) == idx
-    seen = {unpair_index(i, k) for i in range(500)}
-    assert len(seen) == 500
-
-
-def test_flattened_source_agrees_pointwise():
-    grid = SeededGridSource(17, 2)
-    flat = flattened_source(grid)
-    for idx in range(64):
-        assert flat.bit(idx) == grid.bit(unpair_index(idx, 2))
-
-
-def test_flatten_sample_measure_preserved():
-    s = sample2("1011", 2)
-    words = flatten_sample(s)
-    assert {w.length for w in words} == {5}
-    assert len(words) == 2  # one free position below the top index
-    assert measure_open(words) == s.cylinder_measure()
-
-
 def test_flatten_coenum_measure_and_schedule():
+    """A grid class's shell words, read as a one-dimensional co-enumeration,
+    keep its measure and bring the scheduled machinery to grids."""
     b = StagedCoEnumeration({2: {sample2("1011", 2).word()}}, dimension=2)
-    flat = flatten_coenum(b)
+    flat = StagedCoEnumeration.from_words(b.words())
     assert flat.measure() == b.measure()
     # the one-dimensional scheduled machinery applies unchanged
     sched = schnorr_schedule(flat, 1, 0, 2)
