@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Any, Iterable
 
 from .bitseq import Word, word_strings, words_from_strings
-from .dyadic import Dyadic
+from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError
 from .measure import measure_open, prefix_reduce, sorted_words
 
@@ -138,8 +138,43 @@ def new_certificate(
     return cert
 
 
+# The recorded parameters each kind's bound follows from.  An ml-Gm bound
+# also needs the head's measure, which a certificate does not record.
+_BOUND_PARAMETERS = {
+    "schnorr-error": ("k", "v", "t"),
+    "ml-Cr": ("r", "q"),
+    "ml-refined": ("u", "base_r", "q"),
+}
+
+
+def derived_bound(cert: TestCertificate) -> Dyadic | None:
+    """The bound that the certificate's own parameters give, or None when its
+    kind's bound does not follow from recorded parameters or they are absent.
+
+    ``schnorr-error``: ``k/2^(t+v+k)``; ``ml-Cr``: ``q^r``, or 1 when
+    ``q >= 1``; ``ml-refined``: ``q^(u - base_r)``.
+    """
+    names = _BOUND_PARAMETERS.get(cert.kind, ())
+    p = cert.parameters
+    if not names or any(n not in p for n in names):
+        return None
+    if any(type(p[n]) is not int or p[n] < 0 for n in names if n != "q"):
+        raise ValueError(f"{cert.kind} parameters {', '.join(names)} must be nonnegative integers")
+    if cert.kind == "schnorr-error":
+        return Dyadic(p["k"], p["t"] + p["v"] + p["k"])
+    q = Dyadic.from_string(p["q"]) if isinstance(p["q"], str) else None
+    if q is None or q < 0:
+        raise ValueError(f"parameter q must be a nonnegative dyadic string, got {p['q']!r}")
+    if cert.kind == "ml-Cr":
+        return q ** p["r"] if q < D_ONE else D_ONE
+    if p["u"] < p["base_r"]:
+        raise ValueError(f"ml-refined level u = {p['u']} is below base_r = {p['base_r']}")
+    return q ** (p["u"] - p["base_r"])
+
+
 def verify_certificate(cert: TestCertificate) -> list[str]:
-    """Re-check a certificate from its own words; returns the list of problems."""
+    """Re-check a certificate from its own words and parameters; returns the
+    list of problems."""
     problems: list[str] = []
     words = frozenset(cert.words)
     reduced = prefix_reduce(words)
@@ -163,6 +198,12 @@ def verify_certificate(cert: TestCertificate) -> list[str]:
         problems.append(
             f"measure {recomputed} differs from the bound {cert.required_bound} "
             "that a kurtz-stage certificate must equal"
+        )
+    bound = derived_bound(cert)
+    if bound is not None and bound != cert.required_bound:
+        problems.append(
+            f"required bound {cert.required_bound} differs from {bound}, "
+            "the bound its parameters give"
         )
     return problems
 
@@ -229,7 +270,8 @@ _CERT_KEYS = ("certificates", "g_certificates", "refined_certificates")
 
 def certificates_from_json(text: str) -> list[TestCertificate]:
     """The certificates of a file: the lists under the certificate keys of an
-    object, a bare list, or else one certificate object."""
+    object, a bare list, or else one certificate object.  Each must record
+    the parameters its kind's bound follows from."""
     data = json.loads(text)
     if isinstance(data, dict):
         lists = [data[key] for key in _CERT_KEYS if key in data] or [[data]]
@@ -237,4 +279,9 @@ def certificates_from_json(text: str) -> list[TestCertificate]:
         lists = [data]
     if not all(isinstance(v, list) for v in lists):
         raise ValueError("certificates must be given as a JSON list")
-    return [TestCertificate.from_json_dict(item) for item in chain.from_iterable(lists)]
+    certs = [TestCertificate.from_json_dict(item) for item in chain.from_iterable(lists)]
+    for cert in certs:
+        missing = [n for n in _BOUND_PARAMETERS.get(cert.kind, ()) if n not in cert.parameters]
+        if missing:
+            raise ValueError(f"a {cert.kind} certificate must record {', '.join(missing)}")
+    return certs

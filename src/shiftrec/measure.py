@@ -62,14 +62,27 @@ class PrefixFreeWordSet:
         if not _validated and not is_prefix_free(ws):
             raise ValueError("word set is not prefix-free")
         object.__setattr__(self, "words", ws)
-        object.__setattr__(self, "_table", None)  # values by length, built by covers
+        object.__setattr__(self, "_table", None)  # values by length, built on first use
 
-    def covers(self, word: Word) -> bool:
-        """Some member is a prefix of ``word``: its cylinder lies in the open set."""
+    @classmethod
+    def from_values(cls, table: dict[int, set[int]]) -> "PrefixFreeWordSet":
+        """The words of a by-length value table (word length -> the values of
+        the words of that length) that the caller knows to be prefix-free; the
+        table is not checked, and it becomes the set's index."""
+        pfs = cls((Word(v, n) for n, vs in table.items() for v in vs), _validated=True)
+        object.__setattr__(pfs, "_table", table)
+        return pfs
+
+    def values_by_length(self) -> dict[int, set[int]]:
+        """The members' values by word length, built on first use; read only."""
         if self._table is None:
             table = {n: set(vs) for n, vs in _value_buckets(self.words).items()}
             object.__setattr__(self, "_table", table)
-        return not uncovered((word.value,), word.length, self._table)
+        return self._table
+
+    def covers(self, word: Word) -> bool:
+        """Some member is a prefix of ``word``: its cylinder lies in the open set."""
+        return not uncovered((word.value,), word.length, self.values_by_length())
 
     def __setattr__(self, name, value):
         raise AttributeError("PrefixFreeWordSet is immutable")
@@ -138,7 +151,7 @@ def sorted_words(words: _WordIter) -> tuple[Word, ...]:
     """Canonical (length, value) order, used everywhere output must be stable."""
     buckets = words_by_length(words)
     for bucket in buckets.values():
-        bucket.sort()  # equal lengths: native tuple order is value order
+        bucket.sort(key=itemgetter(0))  # equal lengths: value order, on int keys
     return tuple(chain.from_iterable(buckets.values()))
 
 

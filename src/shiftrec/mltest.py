@@ -6,7 +6,10 @@ Level 0 holds the empty word.  A word ``eta`` of length ``t`` enters level
 entered at stage ``s = len(sigma)`` with ``t > (k+1) s``, some shifted block
 ``eta[s*i:]`` extends a complement word enumerated by stage ``t - s*i``, and
 no prefix of ``eta`` has entered level ``r`` before.  Entries therefore have
-length equal to their entry stage and every level is prefix-free.
+length equal to their entry stage and every level is prefix-free, so a level
+is kept as a plain :class:`~shiftrec.measure.PrefixFreeWordSet`: a member's
+entry stage is its length ``t``, or for a grid shell word of length ``t**k``
+the cube side ``t``.
 
 The shifted-block condition is cylinder membership (the tail *extends* an
 enumerated word); requiring the tail to *be* an enumerated word would leave
@@ -62,15 +65,14 @@ class MLConstruction:
         self.k = k
         self.stage_max = stage_max
         self.candidate_budget = candidate_budget
-        self._levels: list[dict[Word, int]] = [{EMPTY_WORD: 0}]
+        # k times the measure of the complement enumerated within the budget
+        self.q = k * measure_open(coenum.cumulative(stage_max))
+        # a stage-t entry has length t**dimension
+        self._stage_of_length = {t**coenum.dimension: t for t in range(stage_max + 1)}
+        self._levels = [PrefixFreeWordSet((EMPTY_WORD,), _validated=True)]
 
-    @property
-    def q(self) -> Dyadic:
-        """k times the measure of the complement enumerated within the budget."""
-        return self.k * measure_open(self.coenum.cumulative(self.stage_max))
-
-    def level(self, r: int) -> dict[Word, int]:
-        """Level r as a map word -> entry stage, truncated at the stage budget."""
+    def level(self, r: int) -> PrefixFreeWordSet:
+        """Level r, truncated at the stage budget."""
         if r < 0:
             raise ValueError("level index must be nonnegative")
         while len(self._levels) <= r:
@@ -90,17 +92,19 @@ class MLConstruction:
         start = self._offset(s, i)
         return range(start, start + tau.length)
 
-    def _build_level(self, parents: dict[Word, int]) -> dict[Word, int]:
-        entries: dict[Word, int] = {}
+    def _build_level(self, parents: PrefixFreeWordSet) -> PrefixFreeWordSet:
         entered: dict[int, set[int]] = {}  # word length -> values entered at it
         generated = 0
         for t in range(1, self.stage_max + 1):
             length = t**self.coenum.dimension
             found: set[int] = set()
-            for sigma, s in parents.items():
+            # the parents of one length share a stage and are extended together
+            for n, values in parents.values_by_length().items():
+                s = self._stage_of_length[n]
                 first_stage = self._first_stage(s)
                 if t < first_stage:
                     continue
+                sigmas = [Word(v, n) for v in values]
                 for i in range(1, self.k + 1):
                     offset = self._offset(s, i)
                     if offset >= t:
@@ -115,18 +119,18 @@ class MLConstruction:
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        generated += 1 << (length - sigma.length - tau.length)
+                        generated += len(sigmas) << (length - n - tau.length)
                         if generated > self.candidate_budget:
                             raise BudgetExceededError(
                                 f"level enumeration exceeded {self.candidate_budget} candidates"
                             )
                         at = self._tau_positions(s, i, t, tau)
-                        batch = set(_extensions(sigma, tau, at, length)) - found
-                        found.update(uncovered(batch, length, entered))
+                        for sigma in sigmas:
+                            batch = set(_extensions(sigma, tau, at, length)) - found
+                            found.update(uncovered(batch, length, entered))
             if found:
                 entered[length] = found
-                entries.update((Word(v, length), t) for v in found)
-        return entries
+        return PrefixFreeWordSet.from_values(entered)
 
     def levels_until_empty(self, hard_cap: int = 64) -> int:
         """Number of consecutive nonempty levels reachable within the budget."""
@@ -135,14 +139,6 @@ class MLConstruction:
             r += 1
         return r
 
-    def union_map(self, max_level: int | None = None) -> dict[Word, int]:
-        """All level members (any level) with their entry stages."""
-        top = self.levels_until_empty() if max_level is None else max_level + 1
-        acc: dict[Word, int] = {}
-        for r in range(top):
-            acc.update(self.level(r))
-        return acc
-
     def level_certificate(self, r: int) -> TestCertificate:
         return self._level_certificate(r, {"k": self.k})
 
@@ -150,14 +146,13 @@ class MLConstruction:
         self, r: int, parameters: dict, space: str = "bits"
     ) -> TestCertificate:
         q = self.q
-        bound = q**r if q < D_ONE else D_ONE
-        words = tuple(self.level(r))
+        level = self.level(r)
         return new_certificate(
             kind="ml-Cr",
             parameters={**parameters, "r": r, "q": str(q)},
-            words=words,
-            exact_measure=measure_open(words),
-            required_bound=bound,
+            words=level,
+            exact_measure=measure_open(level),
+            required_bound=q**r if q < D_ONE else D_ONE,
             stage_budget=self.stage_max,
             space=space,
         )
@@ -193,13 +188,15 @@ def _block_covered(words: PrefixFreeWordSet, eta: Word, s: int, k: int) -> bool:
 
 
 def ml_enumerate_G(
-    construction: MLConstruction, head: frozenset[Word], head_max_len: int, m: int
-) -> TestCertificate:
-    """Escape set G_m: members of the union chain with at least m head hits.
+    construction: MLConstruction, head: frozenset[Word], head_max_len: int, m_max: int
+) -> list[TestCertificate]:
+    """Escape sets G_0 ... G_m_max: G_m holds the members of the union chain
+    with at least m head hits.
 
     A hit is a chain stage ``s > head_max_len`` (the word's length-s prefix
     is itself a chain member) at which some block ``word[s*i : s*i+|d|]``
-    equals a head word ``d``.  The words are prefix-minimal; the measure
+    equals a head word ``d``.  Hits do not depend on m, so each chain word's
+    hits are counted once.  The words are prefix-minimal; the measure
     decays like ``(1 - v**k)**m`` where ``v`` is the measure outside the
     head's open set.
 
@@ -209,41 +206,43 @@ def ml_enumerate_G(
     whole space.  Inputs violating either are rejected here rather than
     allowed to surface as spurious bound violations.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    enumerated = construction.coenum.cumulative(construction.stage_max)
-    if not is_prefix_free(enumerated):
-        raise ValueError("escape sets require a prefix-free complement enumeration")
-    if measure_open(enumerated) >= D_ONE:
-        raise ValueError("escape sets require a target of positive measure")
-    cset = frozenset(construction.union_map())
-    clengths = sorted({w.length for w in cset})
-    head_set = prefix_reduce(head)
+    if m_max < 0:
+        raise ValueError("m_max must be nonnegative")
     k = construction.k
+    if not is_prefix_free(construction.coenum.cumulative(construction.stage_max)):
+        raise ValueError("escape sets require a prefix-free complement enumeration")
+    if construction.q >= k:  # q is k times the complement's measure
+        raise ValueError("escape sets require a target of positive measure")
+    levels = (construction.level(r) for r in range(construction.levels_until_empty()))
+    chain_words = frozenset().union(*levels)
+    stages = sorted({w.length for w in chain_words if w.length > head_max_len})
+    head_set = prefix_reduce(head)
 
     def hits(word: Word) -> int:
-        count = 0
-        for s in clengths:
-            if s <= head_max_len or s >= word.length:
-                continue
-            if word.take(s) not in cset:
-                continue
-            if _block_covered(head_set, word, s, k):
-                count += 1
-        return count
+        return sum(
+            1
+            for s in stages
+            if s < word.length
+            and word.take(s) in chain_words
+            and _block_covered(head_set, word, s, k)
+        )
 
-    members = [w for w in cset if hits(w) >= m]
-    words = prefix_reduce(members)
-    v = D_ONE - measure_open(head_set)
-    bound = (D_ONE - v**k) ** m
-    return new_certificate(
-        kind="ml-Gm",
-        parameters={"k": k, "m": m, "head_max_len": head_max_len},
-        words=words,
-        exact_measure=measure_open(words),
-        required_bound=bound,
-        stage_budget=construction.stage_max,
-    )
+    hit_counts = [(w, hits(w)) for w in chain_words]
+    decay = D_ONE - (D_ONE - measure_open(head_set)) ** k
+    certs = []
+    for m in range(m_max + 1):
+        words = prefix_reduce(w for w, h in hit_counts if h >= m)
+        certs.append(
+            new_certificate(
+                kind="ml-Gm",
+                parameters={"k": k, "m": m, "head_max_len": head_max_len},
+                words=words,
+                exact_measure=measure_open(words),
+                required_bound=decay**m,
+                stage_budget=construction.stage_max,
+            )
+        )
+    return certs
 
 
 def ml_escape_level(prefix: Word, g_certs: list[TestCertificate]) -> int | None:
@@ -276,25 +275,26 @@ def ml_refined_levels(
         raise InapplicableBoundError(f"tail is not light enough: q = {q}")
 
     certs: list[TestCertificate] = []
-    current = dict(construction.level(base_r))
+    current = construction.level(base_r)
     for u in range(base_r, u_max + 1):
         if u > base_r:
             # level u - 1 is prefix-free, so a word of current that is a
             # proper prefix of eta is eta's parent
-            lengths = sorted({w.length for w in current})
-            nxt: dict[Word, int] = {}
-            for eta, t in construction.level(u).items():
-                s = next((s for s in lengths if s < t and eta.take(s) in current), None)
+            lengths = sorted(current.values_by_length())
+            kept = []
+            for eta in construction.level(u):
+                s = next(
+                    (s for s in lengths if s < eta.length and eta.take(s) in current), None
+                )
                 if s is not None and _block_covered(tail, eta, s, k):
-                    nxt[eta] = t
-            current = nxt
-        words = tuple(current)
+                    kept.append(eta)
+            current = PrefixFreeWordSet(kept, _validated=True)  # a subset of level u
         certs.append(
             new_certificate(
                 kind="ml-refined",
                 parameters={"k": k, "u": u, "base_r": base_r, "q": str(q)},
-                words=words,
-                exact_measure=measure_open(words),
+                words=current,
+                exact_measure=measure_open(current),
                 required_bound=q ** (u - base_r),
                 stage_budget=construction.stage_max,
             )
@@ -398,10 +398,7 @@ def ml_run(
         return MLRunResult("direct", q, level_certs)
     head, head_max_len = split_tail(coenum, Fraction(1, k))
     tail = coenum.remove_words(head)
-    g_certs = [
-        ml_enumerate_G(con, head, head_max_len, m)
-        for m in range((m_max if m_max is not None else r_max) + 1)
-    ]
+    g_certs = ml_enumerate_G(con, head, head_max_len, r_max if m_max is None else m_max)
     refined = ml_refined_levels(
         con, base_r, tail, u_max if u_max is not None else r_max
     )

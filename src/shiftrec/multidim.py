@@ -302,11 +302,12 @@ class SeededGridSource(GridSource):
             raise ValueError("dimension must be at least 1")
         self.seed = int(seed)
         self.dimension = dimension
+        self._h0 = _mix64(self.seed + _GAMMA)
 
     def bit(self, coords: tuple[int, ...]) -> int:
         if len(coords) != self.dimension:
             raise ValueError(f"expected {self.dimension} coordinates")
-        h = _mix64(self.seed + _GAMMA)
+        h = self._h0
         for c in coords:
             if c < 0:
                 raise IndexError("negative coordinate")

@@ -171,7 +171,7 @@ def test_criterion_4_ml_certificates():
         assert measure_open(tail.words()).as_fraction() < Fraction(1, 2)
         v = D_ONE - measure_open(head)
         decay = D_ONE - v**2
-        g = [ml_enumerate_G(con, head, n_bound, m) for m in range(4)]
+        g = ml_enumerate_G(con, head, n_bound, 3)
         for prev, nxt in zip(g, g[1:]):
             assert nxt.exact_measure <= decay * prev.exact_measure
         q_tail = 2 * measure_open(tail.words())

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from shiftrec.cli import main
+from shiftrec.dyadic import Dyadic
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -308,19 +309,45 @@ def test_benchmark_job_arguments_parse(tmp_path, monkeypatch):
             parser.parse_args([*job.argv, "--out", str(tmp_path / "out")])
 
 
-def test_verify_rejects_tampered_kurtz_stage(tmp_path, capsys):
-    src = tmp_path / "kurtz.json"
-    assert main(["kurtz", "--clopen", "1", "--k", "2", "--t-max", "2", "--out", str(src)]) == 0
-    data = json.loads(src.read_text())
-    cert = data["certificates"][1]
-    cert["words"] = ["01"]
-    cert["exact_measure"] = "1/2^2"
-    cert["required_bound"] = "1/2^0"
+def _cut_to_five_words(cert):
+    """Keep five words, restate their measure and loosen the bound to one."""
+    kept = cert["words"][:5]
+    top = max(map(len, kept))
+    measure = Dyadic(sum(1 << (top - len(w)) for w in kept), top)
+    cert.update(words=kept, exact_measure=str(measure), required_bound="1/2^0")
+
+
+@pytest.mark.parametrize(
+    "argv, class_text, key, index, edit",
+    [
+        (("kurtz", "--clopen", "1", "--k", "2", "--t-max", "2"), None, "certificates", 1,
+         lambda c: c.update(words=["01"], exact_measure="1/2^2", required_bound="1/2^0")),
+        # the r = 2 level of the benchmark's ml-direct inputs (1007 words, q = 9/16)
+        (("mltest", "--k", "2", "--r", "2", "--stage-max", "22"), "stage 2: 11\nstage 5: 00000\n",
+         "certificates", 2, _cut_to_five_words),
+        (("schnorr", "--clopen", "1", "--k", "1", "--t-max", "2"), None, "certificates", 0,
+         lambda c: c.update(required_bound="1/2^0")),
+        (("mltest", "--k", "2", "--r", "2", "--stage-max", "10"), "stage 1: 0\nstage 2: 11\n",
+         "refined_certificates", 1, lambda c: c.update(required_bound="1/2^0")),
+    ],
+    ids=["kurtz-stage", "ml-Cr", "schnorr-error", "ml-refined"],
+)
+def test_verify_rejects_tampered_kurtz_stage(argv, class_text, key, index, edit, tmp_path, capsys):
+    """A cut word list or a loosened bound exits 1, although the measure and
+    the bound the certificate states agree with each other."""
+    if class_text is not None:
+        class_file = tmp_path / "B.txt"
+        class_file.write_text(class_text)
+        argv = (*argv, "--class-file", str(class_file))
+    src = tmp_path / "out.json"
+    assert main([*argv, "--out", str(src)]) == 0
+    cert = json.loads(src.read_text())[key][index]
+    edit(cert)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps({"certificates": [cert]}))
     code, out = run_cli(capsys, "verify", str(tampered))
     assert code == 1
-    assert "kurtz-stage" in out
+    assert cert["kind"] in out
 
 
 @pytest.mark.parametrize("sample", [{"size": -3, "bits": ""}, {"size": 2, "bits": "10"}])
@@ -384,6 +411,8 @@ def _one_certificate(tmp_path, argv, edit):
 KURTZ_ARGV = ("kurtz", "--clopen", "1", "--k", "1", "--t-max", "1")
 GRID_ARGV = ("grid", "--op", "kurtz", "--dimension", "2", "--n1", "1", "--target-bits", "1",
              "--r", "1")
+SCHNORR_ARGV = ("schnorr", "--clopen", "1", "--t-max", "1")
+ML_ARGV = ("mltest", "--clopen", "1", "--k", "1", "--r", "1", "--stage-max", "4")
 
 
 @pytest.mark.parametrize(
@@ -400,10 +429,16 @@ GRID_ARGV = ("grid", "--op", "kurtz", "--dimension", "2", "--n1", "1", "--target
         (KURTZ_ARGV, lambda c: c.update(required_bound=[1])),
         (KURTZ_ARGV, lambda c: c.update(stage_budget=None)),
         (KURTZ_ARGV, lambda c: c.update(parameters=5)),
+        # the parameters a bound is derived from
+        (SCHNORR_ARGV, lambda c: c["parameters"].pop("t")),
+        (ML_ARGV, lambda c: c["parameters"].pop("q")),
+        (ML_ARGV, lambda c: c["parameters"].update(q=0.5)),
+        (ML_ARGV, lambda c: c["parameters"].update(r="1")),
     ],
     ids=["string-words", "grid-word-not-record", "grid-size-not-int", "unknown-kind",
          "unknown-space", "measure-not-string", "bound-not-string", "budget-null",
-         "parameters-not-object"],
+         "parameters-not-object", "schnorr-t-missing", "ml-q-missing", "ml-q-not-string",
+         "ml-r-not-int"],
 )
 def test_verify_rejects_malformed_certificate(argv, edit, tmp_path, capsys):
     path = _one_certificate(tmp_path, argv, edit)

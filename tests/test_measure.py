@@ -74,6 +74,15 @@ def test_covers_examples():
     assert not prefix_reduce(set()).covers(W("0"))
 
 
+def test_set_from_values_uses_the_table_as_its_index():
+    table = {1: {0b0}, 3: {0b110, 0b111}}
+    s = PrefixFreeWordSet.from_values(table)
+    assert s == prefix_reduce(words("0", "110", "111"))
+    assert s.values_by_length() is table
+    assert s.covers(W("1101")) and not s.covers(W("10"))
+    assert prefix_reduce(words("0", "01", "110")).values_by_length() == {1: {0b0}, 3: {0b110}}
+
+
 def test_measure_open_examples():
     assert measure_open({EMPTY_WORD}) == D_ONE
     assert measure_open(words("01")) == Dyadic(1, 2)

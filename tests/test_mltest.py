@@ -98,7 +98,7 @@ def compare_levels(coenum, k, r_max, stage_max):
     con = MLConstruction(coenum, k, stage_max)
     oracle = oracle_levels(stages_as_strings(coenum), k, r_max, stage_max)
     for r in range(r_max + 1):
-        got = {str(w): s for w, s in con.level(r).items()}
+        got = {str(w): w.length for w in con.level(r)}  # a word enters at its length
         assert got == oracle[r], f"level {r} mismatch for k={k}"
     return con
 
@@ -128,9 +128,9 @@ def test_levels_match_oracle_two_stage():
 
 def test_empty_complement_gives_empty_levels():
     con = MLConstruction(StagedCoEnumeration.empty(), 2, 10)
-    assert con.level(0) == {EMPTY_WORD: 0}
+    assert set(con.level(0)) == {EMPTY_WORD}
     for r in (1, 2, 3):
-        assert con.level(r) == {}
+        assert len(con.level(r)) == 0
 
 
 def test_level_zero_certificate():
@@ -141,10 +141,10 @@ def test_level_zero_certificate():
 
 def test_single_word_level_values():
     con = MLConstruction(B_SINGLE, 2, 12)
-    assert con.level(1) == {W("11"): 2}
+    assert set(con.level(1)) == {W("11")}  # entered at stage 2
     assert len(con.level(2)) == 14
-    assert {s for s in con.level(2).values()} == {7}
-    assert con.level(3) == {}  # needs a stage above 21
+    assert {w.length for w in con.level(2)} == {7}
+    assert len(con.level(3)) == 0  # needs a stage above 21
     assert con.q == Dyadic(1, 1)
 
 
@@ -153,16 +153,14 @@ def test_stage_discipline_and_prefix_freeness():
         con = MLConstruction(coenum, k, 10)
         for r in range(4):
             level = con.level(r)
-            assert all(w.length == s for w, s in level.items())
+            assert all(w.length <= 10 for w in level)
             cert = con.level_certificate(r)
             assert is_prefix_free(cert.words)
-            for w, s in level.items():
+            for w in level:
                 if r > 0:
-                    parents = [
-                        (p, ps) for p, ps in con.level(r - 1).items() if p.is_prefix_of(w)
-                    ]
+                    parents = [p for p in con.level(r - 1) if p.is_prefix_of(w)]
                     assert len(parents) == 1
-                    assert s > (k + 1) * parents[0][1]
+                    assert w.length > (k + 1) * parents[0].length
 
 
 def test_measure_bounds_direct_path():
@@ -208,8 +206,7 @@ def test_escape_sets_match_oracle():
     head, n_bound = split_tail(B_HEAVY, Fraction(1, 2))
     assert head == {W("0")} and n_bound == 1
     levels = oracle_levels(stages_as_strings(B_HEAVY), 2, con.levels_until_empty(), 12)
-    for m in range(3):
-        cert = ml_enumerate_G(con, head, n_bound, m)
+    for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 2)):
         expect = oracle_escape_sets(levels, {"0"}, n_bound, 2, m)
         assert {str(w) for w in cert.words} == expect
 
@@ -229,9 +226,9 @@ def test_escape_sets_reject_bad_hypotheses():
 
 def test_escape_set_base_cases():
     con = MLConstruction(B_HEAVY, 2, 12)
-    cert0 = ml_enumerate_G(con, frozenset({W("0")}), 1, 0)
+    [cert0] = ml_enumerate_G(con, frozenset({W("0")}), 1, 0)
     assert cert0.words == (EMPTY_WORD,)
-    empty_head = ml_enumerate_G(con, frozenset(), 0, 1)
+    empty_head = ml_enumerate_G(con, frozenset(), 0, 1)[1]
     assert empty_head.words == ()
 
 
@@ -241,8 +238,7 @@ def test_escape_decay():
     v = D_ONE - measure_open(head)
     factor = D_ONE - v**2
     prev = None
-    for m in range(4):
-        cert = ml_enumerate_G(con, head, n_bound, m)
+    for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 3)):
         assert cert.exact_measure <= factor**m
         if prev is not None:
             assert cert.exact_measure <= factor * prev
@@ -252,7 +248,7 @@ def test_escape_decay():
 def test_escape_level_of_a_sequence():
     con = MLConstruction(B_HEAVY, 2, 12)
     head, n_bound = split_tail(B_HEAVY, Fraction(1, 2))
-    certs = [ml_enumerate_G(con, head, n_bound, m) for m in range(4)]
+    certs = ml_enumerate_G(con, head, n_bound, 3)
     # G_0 = {empty word} contains a prefix of everything, so the level is >= 1
     for bits in ("000000000000", "110111111111", "101010101010"):
         level = ml_escape_level(W(bits), certs)
