@@ -126,6 +126,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_window(start: int, length: int) -> None:
+    if start < 0:
+        raise IndexError("negative bit index")
+    if length < 0:
+        raise ValueError(f"negative window length {length}")
+
+
 class SequenceSource:
     """Deterministic bit sequence with positional access.
 
@@ -138,6 +145,7 @@ class SequenceSource:
 
     def window(self, start: int, length: int) -> Word:
         """Bits ``start .. start+length`` as a word."""
+        _check_window(start, length)
         value = 0
         for i in range(start, start + length):
             value = (value << 1) | self.bit(i)
@@ -169,6 +177,7 @@ class PseudorandomSource(SequenceSource):
         return (self._block(index >> 6) >> (index & 63)) & 1
 
     def window(self, start: int, length: int) -> Word:
+        _check_window(start, length)
         value = 0
         for j in range(start >> 6, (start + length + 63) >> 6):
             block = self._block(j)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -38,7 +37,6 @@ class TestCertificate:
     exact_measure: Dyadic
     required_bound: Dyadic
     stage_budget: int
-    space: str = "bits"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -49,22 +47,10 @@ class TestCertificate:
         return self.exact_measure <= self.required_bound
 
     def to_json_dict(self) -> dict:
-        if self.space == "bits":
-            words = word_strings(self.words)
-        else:
-            from .multidim import row_major_groups
-
-            dim = int(self.parameters["dimension"])
-            words = [
-                {"size": size, "bits": bits}
-                for size, group in row_major_groups(dim, self.words)
-                for bits in group
-            ]
         return {
             "kind": self.kind,
-            "space": self.space,
             "parameters": dict(sorted(self.parameters.items())),
-            "words": words,
+            "words": word_strings(self.words),
             "exact_measure": str(self.exact_measure),
             "required_bound": str(self.required_bound),
             "stage_budget": self.stage_budget,
@@ -76,44 +62,29 @@ class TestCertificate:
         if not isinstance(data, dict) or not isinstance(data.get("words"), list):
             raise ValueError("a certificate must be a JSON object whose words are a list")
         parameters, budget = data["parameters"], data["stage_budget"]
-        if not isinstance(parameters, dict) or type(parameters.get("dimension", 1)) is not int:
-            raise ValueError("certificate parameters must be an object, with an integer dimension")
+        if not isinstance(parameters, dict):
+            raise ValueError("certificate parameters must be an object")
+        dim = parameters.get("dimension", 1)
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"a dimension must be an integer >= 1, got {dim!r}")
         if type(budget) is not int:
             raise ValueError(f"a stage budget must be an integer, got {budget!r}")
         measures = (data["exact_measure"], data["required_bound"])
         if not all(isinstance(m, str) for m in measures):
             raise ValueError(f"a measure and a bound must be dyadic strings, got {measures!r}")
-        space = data.get("space", "bits")
-        if space == "bits":
-            words = tuple(words_from_strings(data["words"]))
-        elif space == "grid":
-            from .multidim import shell_words
-
-            dim = parameters["dimension"]
-            by_size: defaultdict[int, list[str]] = defaultdict(list)
-            try:
-                for w in data["words"]:
-                    by_size[w["size"]].append(w["bits"])  # shell_words checks the bits
-                if any(type(size) is not int for size in by_size):
-                    raise TypeError
-            except (TypeError, KeyError):
-                raise ValueError('a grid word must be a {"size": int, "bits": str} record') from None
-            words = tuple(
-                chain.from_iterable(
-                    sorted(shell_words(dim, size, texts))
-                    for size, texts in sorted(by_size.items())
-                )
-            )
-        else:
-            raise ValueError(f"unknown certificate space: {space!r}")
+        words = words_from_strings(data["words"])
+        if dim > 1:
+            # a grid word is the shell word of a cube: n**k bits for some n
+            for length in {w.length for w in words}:
+                if round(length ** (1 / dim)) ** dim != length:
+                    raise ValueError(f"{length} bits do not fill a cube in dimension {dim}")
         return cls(
             kind=data["kind"],
             parameters=dict(parameters),
-            words=words,
+            words=tuple(words),
             exact_measure=Dyadic.from_string(measures[0]),
             required_bound=Dyadic.from_string(measures[1]),
             stage_budget=budget,
-            space=space,
         )
 
 
@@ -124,11 +95,10 @@ def new_certificate(
     exact_measure: Dyadic,
     required_bound: Dyadic,
     stage_budget: int,
-    space: str = "bits",
 ) -> TestCertificate:
     """Build a certificate, refusing to emit one that violates its bound."""
     cert = TestCertificate(
-        kind, parameters, sorted_words(words), exact_measure, required_bound, stage_budget, space
+        kind, parameters, sorted_words(words), exact_measure, required_bound, stage_budget
     )
     if not cert.passes:
         raise BoundViolationError(

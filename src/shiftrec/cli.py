@@ -249,10 +249,9 @@ def _cmd_mltest(args) -> int:
         }
         payload["g_certificates"] = [c.to_json_dict() for c in result.g_certs]
         payload["refined_certificates"] = [c.to_json_dict() for c in result.refined_certs]
-        if result.refinement is not None:
-            payload["refinement"] = [
-                {"j": lv.j, "u": lv.u, "bound": str(lv.bound)} for lv in result.refinement
-            ]
+        payload["refinement"] = [
+            {"j": lv.j, "u": lv.u, "bound": str(lv.bound)} for lv in result.refinement
+        ]
         source = _single_source(args)
         if source is not None:
             prefix = source.prefix(stage_max)
@@ -267,6 +266,13 @@ def _cmd_mltest(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    args.op = args.op or "witness"
+    if args.op not in _GRID_OP_FLAGS:
+        raise ValueError(f"unknown grid op {args.op!r}")
+    reads = {"op", *_OUTPUT, *_GRID_OP_FLAGS[args.op]}
+    for flag in _SUBCOMMAND_FLAGS["grid"]:
+        if flag not in reads and getattr(args, flag.replace("-", "_")) is not None:
+            raise ValueError(f"grid --op {args.op} does not read --{flag}")
     dim = args.dimension if args.dimension is not None else 2
     if args.op in ("witness", "kurtz"):
         if not args.target_bits:
@@ -288,7 +294,7 @@ def _cmd_grid(args) -> int:
     if args.op == "kurtz":
         r = args.r if args.r is not None else 1
         certs = [grid_kurtz_stage_set(target, dim, stage) for stage in range(1, r + 1)]
-    elif args.op == "ml":
+    else:
         if not args.class_file:
             raise ValueError("grid ml needs --class-file with an array co-enumeration")
         coenum = _load_class_file(args.class_file)
@@ -298,8 +304,6 @@ def _cmd_grid(args) -> int:
         r_max = args.r if args.r is not None else 1
         con = GridMLConstruction(coenum, stage_max)
         certs = [con.level_certificate(r) for r in range(r_max + 1)]
-    else:
-        raise ValueError(f"unknown grid op {args.op!r}")
     payload = {
         "subcommand": "grid",
         "op": args.op,
@@ -386,10 +390,17 @@ _FLAGS = {
     "target-bits": dict(type=str),
     "n1": dict(type=int),
     "dimension": dict(type=int),
-    "op": dict(choices=("witness", "kurtz", "ml"), default="witness"),
+    "op": dict(choices=("witness", "kurtz", "ml")),
     "format": dict(choices=("csv", "json")),
     "out": dict(type=str),
     "config": dict(type=str),
+}
+
+# The flags each grid --op reads; a grid flag that the op does not read is a usage error.
+_GRID_OP_FLAGS = {
+    "witness": ("dimension", "target-bits", "n1", "seed", "n-max"),
+    "kurtz": ("dimension", "target-bits", "n1", "r"),
+    "ml": ("class-file", "r", "stage-max"),
 }
 
 _TARGET = ("clopen", "class-file")
@@ -401,10 +412,7 @@ _SUBCOMMAND_FLAGS = {
     "kurtz": (*_TARGET, "k", "t-max", *_SOURCE, *_OUTPUT),
     "schnorr": (*_TARGET, "k", "v", "t-max", *_OUTPUT),
     "mltest": (*_TARGET, "k", "r", "stage-max", "m-max", "u-max", *_SOURCE, *_OUTPUT),
-    "grid": (
-        "op", "dimension", "target-bits", "n1", "seed", "n-max", "r", "class-file",
-        "stage-max", *_OUTPUT,
-    ),
+    "grid": ("op", *dict.fromkeys(f for op in _GRID_OP_FLAGS.values() for f in op), *_OUTPUT),
     "rotate": ("alpha", "k", "epsilon", "precision", "n-max", *_OUTPUT),
     "verify": ("out", "config"),
 }

@@ -142,9 +142,7 @@ class MLConstruction:
     def level_certificate(self, r: int) -> TestCertificate:
         return self._level_certificate(r, {"k": self.k})
 
-    def _level_certificate(
-        self, r: int, parameters: dict, space: str = "bits"
-    ) -> TestCertificate:
+    def _level_certificate(self, r: int, parameters: dict) -> TestCertificate:
         q = self.q
         level = self.level(r)
         return new_certificate(
@@ -154,7 +152,6 @@ class MLConstruction:
             exact_measure=measure_open(level),
             required_bound=q**r if q < D_ONE else D_ONE,
             stage_budget=self.stage_max,
-            space=space,
         )
 
 
@@ -382,7 +379,6 @@ def ml_run(
     r_max: int,
     m_max: int | None = None,
     u_max: int | None = None,
-    base_r: int = 0,
 ) -> MLRunResult:
     """Level certificates plus, when the direct bound fails, the split path.
 
@@ -399,11 +395,8 @@ def ml_run(
     head, head_max_len = split_tail(coenum, Fraction(1, k))
     tail = coenum.remove_words(head)
     g_certs = ml_enumerate_G(con, head, head_max_len, r_max if m_max is None else m_max)
-    refined = ml_refined_levels(
-        con, base_r, tail, u_max if u_max is not None else r_max
-    )
+    refined = ml_refined_levels(con, 0, tail, u_max if u_max is not None else r_max)
     tail_q = k * measure_open(tail.cumulative(stage_max))
-    refinement = ml_test_refinement(refined, tail_q) if base_r == 0 else None
     return MLRunResult(
         "split",
         q,
@@ -413,5 +406,5 @@ def ml_run(
         tail_q=tail_q,
         g_certs=g_certs,
         refined_certs=refined,
-        refinement=refinement,
+        refinement=ml_test_refinement(refined, tail_q),
     )

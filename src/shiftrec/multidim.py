@@ -13,8 +13,9 @@ same measure.  The open sets, clopen targets, staged co-enumerations and
 level loop of the one-dimensional modules serve grids unchanged, and a grid
 class's shell words, read as a one-dimensional co-enumeration
 (``StagedCoEnumeration.from_words(coenum.words())``), bring the scheduled
-error-set machinery to grids.  :class:`ArraySample` remains the
-input/output type.
+error-set machinery to grids.  Certificates list grid samples by their
+shell words; :meth:`ArraySample.from_word` gives the cube a shell word
+stands for.
 """
 
 from __future__ import annotations
@@ -30,13 +31,12 @@ from .bitseq import (
     _GAMMA,
     _mix64,
     joined_bits,
-    word_strings,
 )
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import InsufficientDataError
 from .kurtz import _survivor_values
-from .measure import ClopenSet, StagedCoEnumeration, is_prefix_free, measure_open, words_by_length
+from .measure import ClopenSet, StagedCoEnumeration, is_prefix_free, measure_open
 from .mltest import MLConstruction
 
 _SampleIter = Iterable["ArraySample"]
@@ -130,34 +130,9 @@ def shell_words(dimension: int, size: int, texts: Sequence[str]) -> list[Word]:
     return [Word(int(shell[i : i + cells], 2), cells) for i in range(0, len(shell), cells)]
 
 
-def row_major_strings(dimension: int, size: int, words: Sequence[Word]) -> list[str]:
-    """Row-major bit strings of size-n samples given by their shell words."""
-    cells = _cell_count(dimension, size)
-    if any(w.length != cells for w in words):
-        raise ValueError(f"a shell word is not a size-{size} sample in dimension {dimension}")
-    if not cells:
-        return [""] * len(words)
-    text = _regroup("".join(word_strings(words)), cells, _shell_rank(dimension, size))
-    return [text[i : i + cells] for i in range(0, len(text), cells)]
-
-
 def shell_word(dimension: int, size: int, bits: str) -> Word:
     """Shell word of the size-n sample whose row-major bit string is ``bits``."""
     return shell_words(dimension, size, [bits])[0]
-
-
-def row_major_bits(dimension: int, word: Word) -> tuple[int, str]:
-    """Size and row-major bit string of the sample whose shell word is ``word``."""
-    size = _cube_side(word.length, dimension)
-    return size, row_major_strings(dimension, size, [word])[0]
-
-
-def row_major_groups(dimension: int, words: Iterable[Word]) -> Iterator[tuple[int, list[str]]]:
-    """Per sample size, smallest first, the sorted row-major bit strings of
-    the samples whose shell words are ``words``."""
-    for length, group in words_by_length(words).items():
-        size = _cube_side(length, dimension)
-        yield size, sorted(row_major_strings(dimension, size, group))
 
 
 @dataclass(frozen=True)
@@ -195,7 +170,9 @@ class ArraySample:
     @classmethod
     def from_word(cls, dimension: int, word: Word) -> "ArraySample":
         """The sample whose shell word is ``word``; inverse of :meth:`word`."""
-        return cls.from_bit_string(dimension, *row_major_bits(dimension, word))
+        size = _cube_side(word.length, dimension)
+        bits = word.bits()
+        return cls(dimension, size, tuple(bits[p] for p in _shell_rank(dimension, size)))
 
     def word(self) -> Word:
         """The bits in shell order; restricting to size m takes the first m**k."""
@@ -427,7 +404,6 @@ def grid_kurtz_stage_set(
         exact_measure=formula,  # the survivor count equals it
         required_bound=formula,
         stage_budget=r,
-        space="grid",
     )
 
 
@@ -457,4 +433,4 @@ class GridMLConstruction(MLConstruction):
         return _shifted_block(self.k, t, _cube_side(tau.length, self.k), i - 1, s)
 
     def level_certificate(self, r: int) -> TestCertificate:
-        return self._level_certificate(r, {"dimension": self.k}, space="grid")
+        return self._level_certificate(r, {"dimension": self.k})

@@ -117,6 +117,17 @@ def test_pseudorandom_window_agrees_with_bits():
     assert all(w.bit(i) == src.bit(37 + i) for i in range(131))
 
 
+@pytest.mark.parametrize(
+    "src", [PseudorandomSource(1), ExplicitPrefixSource(Word.from_string("101"), 0)]
+)
+def test_window_rejects_negative_start_and_length(src):
+    with pytest.raises(IndexError):
+        src.window(-3, 4)
+    with pytest.raises(ValueError):
+        src.window(0, -1)
+    assert src.window(0, 0) == Word(0, 0)
+
+
 @given(st.integers(0, 2**32), st.integers(0, 64), st.integers(0, 64))
 def test_prefix_monotone(seed, m, extra):
     src = PseudorandomSource(seed)

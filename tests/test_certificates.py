@@ -66,6 +66,9 @@ def test_json_roundtrip_bits():
 def test_json_roundtrip_grid():
     target = ClopenSet(1, {ArraySample(2, 1, (1,)).word()})
     cert = grid_kurtz_stage_set(target, 2, 1)
+    data = json.loads(certificates_to_json([cert]))["certificates"][0]
+    # a grid certificate is written as a word certificate: shell words, no space field
+    assert "space" not in data and data["words"] == [str(w) for w in cert.words]
     back = certificates_from_json(certificates_to_json([cert]))[0]
     assert back.words == cert.words
     assert verify_certificate(back) == []
@@ -95,7 +98,6 @@ def problems_of(cert):
 def test_verify_flags_prefix_violation():
     payload = {
         "kind": "ml-Cr",
-        "space": "bits",
         "parameters": {"r": 1},
         "words": ["0", "01"],
         "exact_measure": "1/2^1",
@@ -109,12 +111,11 @@ def test_verify_flags_prefix_violation():
 
 
 def test_verify_flags_grid_prefix_violation():
-    # the size-2 sample "1011" restricts to the size-1 sample "1"
+    # the size-2 sample with shell word "1011" restricts to the size-1 sample "1"
     payload = {
         "kind": "ml-Cr",
-        "space": "grid",
         "parameters": {"dimension": 2, "r": 1},
-        "words": [{"size": 1, "bits": "1"}, {"size": 2, "bits": "1011"}],
+        "words": ["1", "1011"],
         "exact_measure": "1/2^1",
         "required_bound": "1/2^0",
         "stage_budget": 4,
@@ -122,7 +123,7 @@ def test_verify_flags_grid_prefix_violation():
     }
     bad = TestCertificate.from_json_dict(payload)
     assert any("not prefix-free" in p for p in verify_certificate(bad))
-    payload["words"] = [{"size": 1, "bits": "1"}, {"size": 2, "bits": "0011"}]
+    payload["words"] = ["1", "0011"]
     payload["exact_measure"] = "9/2^4"
     assert verify_certificate(TestCertificate.from_json_dict(payload)) == []
 
@@ -184,14 +185,17 @@ def test_verify_requires_kurtz_stage_equality():
 
 @pytest.mark.parametrize(
     "sample",
-    [{"size": -3, "bits": ""}, {"size": 2, "bits": "101"}, {"size": 1, "bits": "2"}],
+    [
+        {"dimension": 0, "word": ""},  # no cube has dimension 0
+        {"dimension": 2, "word": "101"},  # 3 bits fill no square
+        {"dimension": 2, "word": "2"},
+    ],
 )
 def test_grid_certificate_rejects_bad_samples(sample):
     payload = {
         "kind": "ml-Cr",
-        "space": "grid",
-        "parameters": {"dimension": 2, "r": 1},
-        "words": [sample],
+        "parameters": {"dimension": sample["dimension"], "r": 1},
+        "words": [sample["word"]],
         "exact_measure": "1/2^0",
         "required_bound": "1/2^0",
         "stage_budget": 4,

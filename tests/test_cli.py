@@ -127,6 +127,55 @@ def test_grid_ops(tmp_path, capsys):
     assert json.loads(out)["all_pass"]
 
 
+def _readme_grid_outputs(tmp_path):
+    """The outputs of the README's grid kurtz and grid ml commands."""
+    (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    outputs = []
+    for command in _readme_commands():
+        argv = shlex.split(command)[1:]
+        if argv[:3] in (["grid", "--op", "kurtz"], ["grid", "--op", "ml"]):
+            argv = [str(tmp_path / a) if a == "Bg.txt" else a for a in argv]
+            out = tmp_path / f"{argv[2]}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append(out)
+    assert len(outputs) == 2
+    return outputs
+
+
+def _survives_two_stages(bits: str) -> bool:
+    """A row-major 3x3 cube survives stages 1 and 2 of the one-cell target
+    ``1`` unless both cells moved s along an axis are 1, for s = 1 or 2."""
+    return not any(bits[3 * s] == bits[s] == "1" for s in (1, 2))
+
+
+# The row-major samples of the README grid outputs, one list per certificate.
+README_GRID_SAMPLES = {
+    "kurtz": [
+        ["0000", "0001", "0010", "0011", "0100", "0101",
+         "1000", "1001", "1010", "1011", "1100", "1101"],
+        [b for b in (format(v, "09b") for v in range(1 << 9)) if _survives_two_stages(b)],
+    ],
+    "ml": [[""], ["1011"]],
+}
+
+
+def test_grid_certificates_list_shell_words(tmp_path, capsys):
+    """Grid words are shell words, and read as cubes they are the README's samples."""
+    from shiftrec.bitseq import Word
+    from shiftrec.multidim import ArraySample
+
+    for out in _readme_grid_outputs(tmp_path):
+        certs = json.loads(out.read_text())["certificates"]
+        cubes = [
+            sorted(ArraySample.from_word(2, Word.from_string(w)).bit_string() for w in c["words"])
+            for c in certs
+        ]
+        assert cubes == README_GRID_SAMPLES[out.stem]
+        assert all("space" not in c and c["words"] == sorted(c["words"], key=len) for c in certs)
+        code, _ = run_cli(capsys, "verify", str(out))
+        assert code == 0
+
+
 def test_rotate_subcommand(capsys):
     code, out = run_cli(
         capsys, "rotate", "--alpha", "golden", "--k", "2", "--epsilon", "0.05"
@@ -193,6 +242,11 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     code, out = run_cli(capsys, "kurtz", "--config", str(conf))
     assert code == 0
     assert json.loads(out)["parameters"]["k"] == 2
+    # the grid op has a default, which a config op overrides
+    conf.write_text(json.dumps({"op": "kurtz", "target-bits": "1"}))
+    code, out = run_cli(capsys, "grid", "--config", str(conf))
+    assert code == 0
+    assert json.loads(out)["op"] == "kurtz"
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -294,6 +348,42 @@ def test_flags_of_other_subcommands_are_usage_errors(tmp_path, capsys):
     assert "clopen" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "op, flag, value",
+    [
+        ("witness", "r", "1"),
+        ("witness", "class-file", "Bg.txt"),
+        ("witness", "stage-max", "3"),
+        ("kurtz", "seed", "9"),
+        ("kurtz", "n-max", "9"),
+        ("kurtz", "class-file", "Bg.txt"),
+        ("kurtz", "stage-max", "3"),
+        ("ml", "dimension", "3"),
+        ("ml", "n1", "4"),
+        ("ml", "target-bits", "1"),
+        ("ml", "seed", "9"),
+        ("ml", "n-max", "9"),
+    ],
+)
+def test_grid_flags_of_other_ops_are_usage_errors(op, flag, value, tmp_path, capsys):
+    """A grid flag that the chosen op does not read exits 2, from the command
+    line or from a config file."""
+    (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    reads = {
+        "witness": ["--target-bits", "1", "--seed", "5"],
+        "kurtz": ["--target-bits", "1", "--r", "1"],
+        "ml": ["--class-file", str(tmp_path / "Bg.txt"), "--r", "1", "--stage-max", "3"],
+    }[op]
+    value = str(tmp_path / value) if flag == "class-file" else value
+    assert main(["grid", "--op", op, *reads, "--out", str(tmp_path / "ok.json")]) == 0
+    assert main(["grid", "--op", op, *reads, f"--{flag}", value]) == 2
+    assert f"--{flag}" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"op": op, flag: [int(value)] if flag == "seed" else value}))
+    assert main(["grid", *reads, "--config", str(conf)]) == 2
+    assert f"--{flag}" in capsys.readouterr().err
+
+
 def test_benchmark_job_arguments_parse(tmp_path, monkeypatch):
     """Every argv of the benchmark's job lists is accepted by its subcommand."""
     from shiftrec.cli import build_parser
@@ -350,13 +440,16 @@ def test_verify_rejects_tampered_kurtz_stage(argv, class_text, key, index, edit,
     assert cert["kind"] in out
 
 
-@pytest.mark.parametrize("sample", [{"size": -3, "bits": ""}, {"size": 2, "bits": "10"}])
+@pytest.mark.parametrize(
+    "sample", [{"dimension": 0, "word": "1"}, {"dimension": 2, "word": "10"}]
+)
 def test_verify_rejects_malformed_grid_sample(sample, tmp_path, capsys):
     src = tmp_path / "grid.json"
     assert main(["grid", "--op", "kurtz", "--dimension", "2", "--n1", "1",
                  "--target-bits", "1", "--r", "1", "--out", str(src)]) == 0
     data = json.loads(src.read_text())
-    data["certificates"][0]["words"].append(sample)
+    data["certificates"][0]["parameters"]["dimension"] = sample["dimension"]
+    data["certificates"][0]["words"].append(sample["word"])
     src.write_text(json.dumps(data))
     assert main(["verify", str(src)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -421,10 +514,13 @@ ML_ARGV = ("mltest", "--clopen", "1", "--k", "1", "--r", "1", "--stage-max", "4"
         # a string is not a word list, though iterating it yields bit strings
         (KURTZ_ARGV, lambda c: c.update(kind="ml-Cr", words="0101", exact_measure="1",
                                         required_bound="1", stage_budget=4)),
-        (GRID_ARGV, lambda c: c.update(words=["1"])),
-        (GRID_ARGV, lambda c: c.update(words=[{"size": "1", "bits": "1"}])),
+        # a dimension-2 word is the shell word of a square: n**2 bits
+        (GRID_ARGV, lambda c: c.update(words=["101"])),
+        (GRID_ARGV, lambda c: c["parameters"].update(dimension=0)),
+        (GRID_ARGV, lambda c: c.update(words=["1021"])),
+        # a sample record, as older versions wrote grid words
+        (GRID_ARGV, lambda c: c.update(words=[{"size": 1, "bits": "1"}])),
         (KURTZ_ARGV, lambda c: c.update(kind="bogus")),
-        (GRID_ARGV, lambda c: c.update(space="moon")),
         (KURTZ_ARGV, lambda c: c.update(exact_measure=5)),
         (KURTZ_ARGV, lambda c: c.update(required_bound=[1])),
         (KURTZ_ARGV, lambda c: c.update(stage_budget=None)),
@@ -435,8 +531,8 @@ ML_ARGV = ("mltest", "--clopen", "1", "--k", "1", "--r", "1", "--stage-max", "4"
         (ML_ARGV, lambda c: c["parameters"].update(q=0.5)),
         (ML_ARGV, lambda c: c["parameters"].update(r="1")),
     ],
-    ids=["string-words", "grid-word-not-record", "grid-size-not-int", "unknown-kind",
-         "unknown-space", "measure-not-string", "bound-not-string", "budget-null",
+    ids=["string-words", "grid-word-not-cube", "grid-dimension-zero", "grid-word-not-bits",
+         "grid-record", "unknown-kind", "measure-not-string", "bound-not-string", "budget-null",
          "parameters-not-object", "schnorr-t-missing", "ml-q-missing", "ml-q-not-string",
          "ml-r-not-int"],
 )

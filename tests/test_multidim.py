@@ -25,7 +25,6 @@ from shiftrec.multidim import (
     face_shift,
     grid_find_witness,
     grid_kurtz_stage_set,
-    row_major_strings,
     shell_words,
 )
 from shiftrec.schnorr import schnorr_error_set, schnorr_schedule
@@ -152,8 +151,8 @@ def test_batch_shell_conversion_matches_per_sample(k, n):
     samples = [ArraySample.from_bit_string(k, n, t) for t in texts]
     words = shell_words(k, n, texts)
     assert words == [_oracle_shell_word(a) for a in samples]
-    assert row_major_strings(k, n, words) == texts
-    assert shell_words(k, n, []) == [] and row_major_strings(k, n, []) == []
+    assert [ArraySample.from_word(k, w).bit_string() for w in words] == texts
+    assert shell_words(k, n, []) == []
 
 
 def test_shell_conversion_rejects_bad_samples_before_building_tables():
@@ -168,8 +167,6 @@ def test_shell_conversion_rejects_bad_samples_before_building_tables():
     # a size whose cube has 10**18 cells is refused from the bit count alone
     with pytest.raises(ValueError, match="needs"):
         shell_words(2, 10**9, ["1"])
-    with pytest.raises(ValueError):
-        row_major_strings(2, 2, [Word(0, 3)])
 
 
 def test_cylinder_measure():
@@ -285,7 +282,7 @@ def test_grid_kurtz_multi_cell_blocks_match_cell_oracle(k, n1, target_bits):
     target = ClopenSet(n1**k, shell_words(k, n1, [target_bits]))
     cert = grid_kurtz_stage_set(target, k, 1)
     size = 2 * n1
-    survivors = set(row_major_strings(k, size, cert.words))
+    survivors = {ArraySample.from_word(k, w).bit_string() for w in cert.words}
     assert len(survivors) == len(cert.words)
     for value in range(1 << size**k):
         bits = format(value, f"0{size**k}b")
