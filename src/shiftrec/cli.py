@@ -267,8 +267,6 @@ def _cmd_mltest(args) -> int:
 
 def _cmd_grid(args) -> int:
     args.op = args.op or "witness"
-    if args.op not in _GRID_OP_FLAGS:
-        raise ValueError(f"unknown grid op {args.op!r}")
     reads = {"op", *_OUTPUT, *_GRID_OP_FLAGS[args.op]}
     for flag in _SUBCOMMAND_FLAGS["grid"]:
         if flag not in reads and getattr(args, flag.replace("-", "_")) is not None:
@@ -282,14 +280,14 @@ def _cmd_grid(args) -> int:
         target = ClopenSet(n1**dim, words)
     if args.op == "witness":
         seed = args.seed[0] if args.seed else 0
-        grid = SeededGridSource(seed, dim)
-        n = grid_find_witness(grid, target, args.n_max if args.n_max is not None else 64)
-        _emit(
-            json_text(
-                {"subcommand": "grid", "op": "witness", "seed": seed, "witness": n}
-            ),
-            args.out,
+        n_max = args.n_max if args.n_max is not None else 64
+        n = grid_find_witness(SeededGridSource(seed, dim), target, n_max)
+        text = (
+            f"seed,dimension,n_max,witness\n{seed},{dim},{n_max},{'' if n is None else n}\n"
+            if args.format == "csv"
+            else json_text({"subcommand": "grid", "op": "witness", "seed": seed, "witness": n})
         )
+        _emit(text, args.out)
         return 0
     if args.op == "kurtz":
         r = args.r if args.r is not None else 1
@@ -429,25 +427,43 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name == "verify":
             p.add_argument("certificate", type=str)
-        for flag in _SUBCOMMAND_FLAGS[name]:
-            p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), **_FLAGS[flag])
+        _add_flags(p, _SUBCOMMAND_FLAGS[name])
         p.set_defaults(func=fn)
     return parser
 
 
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        parser.add_argument(f"--{flag}", dest=flag.replace("-", "_"), **_FLAGS[flag])
+
+
 def _apply_config(args: argparse.Namespace) -> None:
+    """Fill the flags not given on the command line from the ``--config`` file,
+    each value parsed as that flag's own argument (a list repeats an append flag)."""
     if getattr(args, "config", None) is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("a config file must hold a JSON object")
-    flags = set(vars(args)) - {"command", "func"}
+    flags = _SUBCOMMAND_FLAGS[args.command]
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    _add_flags(parser, flags)
+    parsed = argparse.Namespace()
     for key, value in conf.items():
-        dest = key.replace("-", "_")
-        if dest not in flags:
+        flag = key.replace("_", "-")
+        if flag not in flags:
             raise ValueError(f"unknown config key {key!r} for {args.command}")
-        if getattr(args, dest) is None:
+        repeat = isinstance(value, list) and _FLAGS[flag].get("action") == "append"
+        values = value if repeat else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in values):
+            raise ValueError(f"config key {key!r} must be a string or a number")
+        try:
+            parser.parse_args([f"--{flag}={v}" for v in values], parsed)
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"config key {key!r}: {exc.message}") from None
+    for dest, value in vars(parsed).items():
+        if value is not None and getattr(args, dest) is None:
             setattr(args, dest, value)
 
 

@@ -23,6 +23,7 @@ from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError, BudgetExceededError
 from .measure import ClopenSet
+from .recurrence import is_witness
 
 _CHUNK = 1 << 20
 
@@ -152,6 +153,6 @@ def kurtz_capture(
     """
     schedule = KurtzSchedule(target.granularity, k)
     for t in range(t_max + 1):
-        if all(target.contains_word(source.window(b.start, len(b))) for b in schedule.blocks(t)):
+        if is_witness(source, target, k, schedule.time(t)):
             return False, t
     return True, None

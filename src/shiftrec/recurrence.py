@@ -35,7 +35,8 @@ class Pi01Target:
         raise AttributeError("Pi01Target is immutable")
 
     @property
-    def block_length(self) -> int:
+    def granularity(self) -> int:
+        """The window read from each tail: as long as the stage budget."""
         return self.stage_budget
 
     def contains_word(self, w: Word) -> bool:
@@ -46,19 +47,13 @@ class Pi01Target:
 Target = Union[ClopenSet, Pi01Target]
 
 
-def _block_length(target: Target) -> int:
-    if isinstance(target, ClopenSet):
-        return target.granularity
-    return target.block_length
-
-
 def is_witness(source: SequenceSource, target: Target, k: int, n: int) -> bool:
     """True iff every tail of ``source`` at ``n, 2n, ..., kn`` lies in the target."""
     if n < 1:
         raise ValueError("witness candidates start at n = 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    length = _block_length(target)
+    length = target.granularity
     return all(
         target.contains_word(source.window(i * n, length)) for i in range(1, k + 1)
     )
@@ -109,20 +104,16 @@ class WitnessReport:
 
 
 def find_witness(query: RecurrenceQuery) -> WitnessReport:
-    """Least witness up to ``n_max`` by linear scan, with re-checkable evidence."""
-    length = _block_length(query.target)
+    """Least witness up to ``n_max`` by linear scan; the evidence is the ``k``
+    blocks of the reported witness, read again."""
+    source, target, k = query.source, query.target, query.k
     for n in range(1, query.n_max + 1):
-        checks = []
-        good = True
-        for i in range(1, query.k + 1):
-            block = query.source.window(i * n, length)
-            member = query.target.contains_word(block)
-            checks.append(BlockCheck(i, i * n, block, member))
-            if not member:
-                good = False
-                break
-        if good:
-            return WitnessReport(n, query.n_max, tuple(checks))
+        if is_witness(source, target, k, n):
+            checks = tuple(
+                BlockCheck(i, i * n, source.window(i * n, target.granularity), True)
+                for i in range(1, k + 1)
+            )
+            return WitnessReport(n, query.n_max, checks)
     return WitnessReport(None, query.n_max, ())
 
 

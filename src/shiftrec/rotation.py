@@ -143,23 +143,27 @@ class ReturnReport:
 
 def _certified_distances(
     system: RotationSystem, k: int, n: int, epsilon: Fraction, precision: int
-) -> tuple[Fraction, ...] | None:
-    """Distances for multiples 1..k if all are certifiably below epsilon,
-    None if certifiably not, PrecisionError if undecidable at this precision."""
-    value, err = system.approx(precision)
-    dists = []
-    for i in range(1, k + 1):
-        d = circle_norm(i * n * value)
-        slack = i * n * err
-        if d + slack < epsilon:
-            dists.append(d)
-        elif d - slack >= epsilon:
-            return None
+) -> tuple[tuple[Fraction, ...] | None, int]:
+    """Distances for multiples 1..k if all are certifiably below epsilon, else
+    None, together with the precision that decided it.  The precision doubles
+    while a comparison is too close to call; PrecisionError past the cap."""
+    while True:
+        value, err = system.approx(precision)
+        dists = []
+        for i in range(1, k + 1):
+            d = circle_norm(i * n * value)
+            slack = i * n * err
+            if d + slack < epsilon:
+                dists.append(d)
+            elif d - slack >= epsilon:
+                return None, precision
+            else:
+                break
         else:
-            raise PrecisionError(
-                f"distance for n={n}, i={i} undecidable within error {slack}"
-            )
-    return tuple(dists)
+            return tuple(dists), precision
+        precision *= 2
+        if precision > _MAX_PRECISION:
+            raise PrecisionError(f"distance for n={n}, i={i} undecidable within error {slack}")
 
 
 def find_multi_return(
@@ -170,25 +174,19 @@ def find_multi_return(
     precision: int | None = None,
 ) -> ReturnReport | None:
     """Least n <= n_max with every multiple n*i*alpha within epsilon of an
-    integer; the scan re-runs at doubled precision when a comparison is too
-    close to call."""
+    integer.  A comparison too close to call doubles the precision and the
+    scan goes on from that n: every smaller n stays certified "no return"."""
     if k < 1:
         raise ValueError("k must be positive")
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     prec = precision if precision is not None else system.precision
-    while True:
-        try:
-            for n in range(1, n_max + 1):
-                dists = _certified_distances(system, k, n, eps, prec)
-                if dists is not None:
-                    return ReturnReport(n, dists, eps, n_max, prec)
-            return None
-        except PrecisionError:
-            prec *= 2
-            if prec > _MAX_PRECISION:
-                raise
+    for n in range(1, n_max + 1):
+        dists, prec = _certified_distances(system, k, n, eps, prec)
+        if dists is not None:
+            return ReturnReport(n, dists, eps, n_max, prec)
+    return None
 
 
 def verify_return(
@@ -196,7 +194,7 @@ def verify_return(
 ) -> bool:
     """Re-check a report, by default at twice the precision it was made at."""
     prec = precision if precision is not None else 2 * report.precision
-    dists = _certified_distances(system, len(report.distances), report.n, report.epsilon, prec)
+    dists, _ = _certified_distances(system, len(report.distances), report.n, report.epsilon, prec)
     return dists is not None
 
 
@@ -222,14 +220,7 @@ def cf_accelerated_return(
     for _, q in system.convergents(max_depth):
         if q < 1:
             continue
-        while True:
-            try:
-                dists = _certified_distances(system, k, q, eps, prec)
-                break
-            except PrecisionError:
-                prec *= 2
-                if prec > _MAX_PRECISION:
-                    raise
+        dists, prec = _certified_distances(system, k, q, eps, prec)
         if dists is not None:
             return ReturnReport(q, dists, eps, q, prec)
     raise DepthExhaustedError(

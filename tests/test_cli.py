@@ -127,6 +127,20 @@ def test_grid_ops(tmp_path, capsys):
     assert json.loads(out)["all_pass"]
 
 
+def test_grid_witness_csv(capsys):
+    argv = ["grid", "--op", "witness", "--dimension", "2", "--n1", "1", "--seed", "5"]
+    code, out = run_cli(capsys, *argv, "--target-bits", "1", "--format", "csv")
+    assert code == 0
+    _, record = run_cli(capsys, *argv, "--target-bits", "1")
+    assert out == f"seed,dimension,n_max,witness\n5,2,64,{json.loads(record)['witness']}\n"
+    # seed 0 has no all-zero 3x3x3 witness up to n_max = 2: the witness column is empty
+    code, out = run_cli(
+        capsys, "grid", "--op", "witness", "--dimension", "3", "--n1", "3",
+        "--target-bits", "0" * 27, "--n-max", "2", "--format", "csv",
+    )
+    assert (code, out) == (0, "seed,dimension,n_max,witness\n0,3,2,\n")
+
+
 def _readme_grid_outputs(tmp_path):
     """The outputs of the README's grid kurtz and grid ml commands."""
     (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
@@ -263,6 +277,35 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     code = main(["kurtz", "--config", str(conf)])
     assert code == 2
     assert "t-maxx" in capsys.readouterr().err
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 5, "clopen": "1"}))
+    code, from_config = run_cli(capsys, "recur", "--config", str(conf))
+    assert code == 0
+    assert from_config == run_cli(capsys, "recur", "--seed", "5", "--clopen", "1")[1]
+    conf.write_text(json.dumps({"clopen": "1", "k": "2", "seed": [1, 2]}))
+    code, out = run_cli(capsys, "recur", "--config", str(conf))
+    assert code == 0
+    assert (json.loads(out)["k"], json.loads(out)["seeds"]) == (2, 2)
+
+
+@pytest.mark.parametrize(
+    "command, conf",
+    [
+        ("recur", {"clopen": "1", "seed": 5, "k": "x"}),
+        ("kurtz", {"clopen": "1", "format": "xml"}),
+        ("kurtz", {"clopen": "1", "k": [2]}),
+        ("kurtz", {"clopen": "1", "out": None}),
+        ("grid", {"op": "cube"}),
+    ],
+)
+def test_config_value_rejected_by_its_flag_is_usage_error(command, conf, tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    assert main([command, "--config", str(path)]) == 2
+    assert "error: config key" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

@@ -87,6 +87,8 @@ def test_witness_evidence_rechecks():
     src = PseudorandomSource(11)
     report = find_witness(RecurrenceQuery(src, target, 2, 64))
     assert report.witness is not None
+    # the evidence is the k blocks of the reported witness, and only those
+    assert [(c.i, c.offset) for c in report.checks] == [(i, i * report.witness) for i in (1, 2)]
     for check in report.checks:
         assert check.in_target
         assert src.window(check.offset, 2) == check.block

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from shiftrec.errors import DepthExhaustedError
+from shiftrec import rotation
+from shiftrec.errors import DepthExhaustedError, PrecisionError
 from shiftrec.rotation import (
     RotationSystem,
     cf_accelerated_return,
@@ -65,6 +67,33 @@ def test_golden_scan_matches_float_oracle():
     )
     report = find_multi_return(RotationSystem.golden(), 2, "0.05", 400)
     assert report.n == oracle == 21
+
+
+def test_scan_resumes_at_the_undecided_n(monkeypatch):
+    """A doubling re-decides only the candidate it was raised for: the scan
+    makes one approximation per n plus one per doubling (2 -> 16 is three)."""
+    calls = []
+    approx = RotationSystem.approx
+    monkeypatch.setattr(
+        RotationSystem, "approx", lambda self, p: calls.append(p) or approx(self, p)
+    )
+    report = find_multi_return(RotationSystem.golden(), 2, Fraction(1, 20), 400, precision=2)
+    assert (report.n, report.precision) == (21, 16)
+    assert len(calls) == report.n + 3
+
+
+def test_escalation_stops_at_the_precision_cap(monkeypatch):
+    # the scan up to n = 21 needs precision 16; a cap of 8 leaves it undecidable
+    monkeypatch.setattr(rotation, "_MAX_PRECISION", 8)
+    with pytest.raises(PrecisionError):
+        find_multi_return(RotationSystem.golden(), 2, Fraction(1, 20), 400, precision=2)
+
+
+def test_verify_escalates_a_too_close_recheck():
+    system = RotationSystem.golden()
+    report = find_multi_return(system, 2, Fraction(1, 20), 400, precision=2)
+    # at precision 2 the error bound 21/4 decides nothing; verify doubles it
+    assert verify_return(system, replace(report, precision=1))
 
 
 def test_scan_minimality():
