@@ -163,13 +163,25 @@ class PseudorandomSource(SequenceSource):
     ``GAMMA = 0x9E3779B97F4A7C15``; bit ``i`` is bit ``i mod 64`` (from the
     least significant end) of block ``i // 64``.  The generator is spelled
     out here so that a seed reproduces the same sequence on any platform.
+
+    ``window`` reads a cache of the blocks, each stored bit-reversed so that
+    stream bit ``i`` is bit ``63 - (i & 63)`` of entry ``i >> 6`` and a
+    window is a shift and a mask of the joined entries.  The cache grows on
+    demand to the last block read; ``bit`` computes its block afresh.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
+        self._reversed: list[int] = []
 
     def _block(self, j: int) -> int:
         return _mix64((self.seed + (j + 1) * _GAMMA) & _MASK64)
+
+    def _grow(self, last: int) -> None:
+        """Extend the cache through block ``last``."""
+        cache = self._reversed
+        for j in range(len(cache), last + 1):
+            cache.append(int(format(self._block(j), "064b")[::-1], 2))
 
     def bit(self, index: int) -> int:
         if index < 0:
@@ -178,14 +190,21 @@ class PseudorandomSource(SequenceSource):
 
     def window(self, start: int, length: int) -> Word:
         _check_window(start, length)
-        value = 0
-        for j in range(start >> 6, (start + length + 63) >> 6):
-            block = self._block(j)
-            lo = max(start, j << 6)
-            hi = min(start + length, (j + 1) << 6)
-            for i in range(lo, hi):
-                value = (value << 1) | ((block >> (i & 63)) & 1)
-        return Word(value, length)
+        if not length:
+            return EMPTY_WORD
+        end = start + length
+        last = (end - 1) >> 6
+        cache = self._reversed
+        if last >= len(cache):
+            self._grow(last)
+        if start >> 6 == last:
+            value = cache[last]
+        else:
+            value = 0
+            for block in cache[start >> 6 : last + 1]:
+                value = (value << 64) | block
+        # the joined entries end at bit (last + 1) * 64 of the stream
+        return Word((value >> (-end & 63)) & ((1 << length) - 1), length)
 
     def __repr__(self) -> str:
         return f"PseudorandomSource(seed={self.seed})"

@@ -201,11 +201,13 @@ class ClopenSet:
 
     def contains_word(self, w: Word) -> bool:
         """Membership of any word of length >= granularity, decided on its head."""
-        if w.length < self.granularity:
-            raise ValueError(
-                f"word of length {w.length} is too short for granularity {self.granularity}"
-            )
-        return w.take(self.granularity) in self.words
+        if w.length != self.granularity:
+            if w.length < self.granularity:
+                raise ValueError(
+                    f"word of length {w.length} is too short for granularity {self.granularity}"
+                )
+            w = w.take(self.granularity)
+        return w in self.words
 
     def __eq__(self, other):
         if isinstance(other, ClopenSet):

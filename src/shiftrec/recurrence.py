@@ -53,10 +53,11 @@ def is_witness(source: SequenceSource, target: Target, k: int, n: int) -> bool:
         raise ValueError("witness candidates start at n = 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    length = target.granularity
-    return all(
-        target.contains_word(source.window(i * n, length)) for i in range(1, k + 1)
-    )
+    length, contains, window = target.granularity, target.contains_word, source.window
+    for offset in range(n, k * n + 1, n):
+        if not contains(window(offset, length)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

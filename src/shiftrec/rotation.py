@@ -26,6 +26,13 @@ def default_precision() -> int:
     return int(os.environ.get(DEFAULT_PRECISION_ENV, "128"))
 
 
+def _checked_precision(precision: int) -> int:
+    """``precision`` itself; a value below 1 could never be doubled to a decision."""
+    if not isinstance(precision, int) or precision < 1:
+        raise ValueError("precision must be a positive integer")
+    return precision
+
+
 def circle_norm(x: Fraction | int | str) -> Fraction:
     """Distance from x to the nearest integer, in [0, 1/2], exactly."""
     f = Fraction(x)
@@ -44,8 +51,11 @@ class RotationSystem:
     """
 
     def __init__(self, alpha, precision: int | None = None):
-        self.precision = precision if precision is not None else default_precision()
+        self.precision = _checked_precision(
+            precision if precision is not None else default_precision()
+        )
         self._cf_terms: tuple[int, ...] | None = None
+        self._approx: dict[int, tuple[Fraction, Fraction]] = {}
         if isinstance(alpha, str):
             alpha = alpha.strip()
             if alpha == "golden":
@@ -73,13 +83,19 @@ class RotationSystem:
         return cls("golden", precision)
 
     def approx(self, precision: int) -> tuple[Fraction, Fraction]:
-        """(value, error bound); the error is zero for an exact rational angle."""
-        if self.kind == "rational":
-            return self.exact, Fraction(0)
-        # (sqrt(5) - 1) / 2 via an integer square root at the requested scale.
-        scale = 1 << precision
-        s = math.isqrt(5 * scale * scale)
-        return Fraction(s - scale, 2 * scale), Fraction(1, scale)
+        """(value, error bound); the error is zero for an exact rational angle.
+        Each precision is computed once per system."""
+        cached = self._approx.get(precision)
+        if cached is None:
+            if self.kind == "rational":
+                cached = self.exact, Fraction(0)
+            else:
+                # (sqrt(5) - 1) / 2 via an integer square root at the requested scale.
+                scale = 1 << precision
+                s = math.isqrt(5 * scale * scale)
+                cached = Fraction(s - scale, 2 * scale), Fraction(1, scale)
+            self._approx[precision] = cached
+        return cached
 
     def cf_terms(self, depth: int) -> tuple[int, ...]:
         """The first ``depth`` partial quotients, including the integer part."""
@@ -146,24 +162,38 @@ def _certified_distances(
 ) -> tuple[tuple[Fraction, ...] | None, int]:
     """Distances for multiples 1..k if all are certifiably below epsilon, else
     None, together with the precision that decided it.  The precision doubles
-    while a comparison is too close to call; PrecisionError past the cap."""
+    while a comparison is too close to call; PrecisionError past the cap.
+
+    With ``value = num/den`` and ``err = e/den`` the distance of ``i*n*alpha``
+    is ``d/den`` with ``d = min(x, den - x)``, ``x = i*n*num mod den``, and
+    ``d/den ± i*n*e/den`` is compared with ``epsilon`` by cross-multiplication."""
+    eps_num, eps_den = epsilon.numerator, epsilon.denominator
     while True:
         value, err = system.approx(precision)
-        dists = []
+        den = math.lcm(value.denominator, err.denominator)
+        num = value.numerator * (den // value.denominator)
+        e = err.numerator * (den // err.denominator)
+        bar = eps_num * den
+        step, slack_step = n * num % den, n * e
+        x, slack = 0, 0
+        ds = []
         for i in range(1, k + 1):
-            d = circle_norm(i * n * value)
-            slack = i * n * err
-            if d + slack < epsilon:
-                dists.append(d)
-            elif d - slack >= epsilon:
+            x = (x + step) % den
+            slack += slack_step
+            d = min(x, den - x)
+            if (d + slack) * eps_den < bar:
+                ds.append(d)
+            elif (d - slack) * eps_den >= bar:
                 return None, precision
             else:
                 break
         else:
-            return tuple(dists), precision
+            return tuple(Fraction(d, den) for d in ds), precision
         precision *= 2
         if precision > _MAX_PRECISION:
-            raise PrecisionError(f"distance for n={n}, i={i} undecidable within error {slack}")
+            raise PrecisionError(
+                f"distance for n={n}, i={i} undecidable within error {Fraction(slack, den)}"
+            )
 
 
 def find_multi_return(
@@ -181,7 +211,7 @@ def find_multi_return(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    prec = precision if precision is not None else system.precision
+    prec = _checked_precision(precision) if precision is not None else system.precision
     for n in range(1, n_max + 1):
         dists, prec = _certified_distances(system, k, n, eps, prec)
         if dists is not None:
@@ -193,7 +223,7 @@ def verify_return(
     system: RotationSystem, report: ReturnReport, precision: int | None = None
 ) -> bool:
     """Re-check a report, by default at twice the precision it was made at."""
-    prec = precision if precision is not None else 2 * report.precision
+    prec = _checked_precision(precision) if precision is not None else 2 * report.precision
     dists, _ = _certified_distances(system, len(report.distances), report.n, report.epsilon, prec)
     return dists is not None
 
@@ -216,7 +246,7 @@ def cf_accelerated_return(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    prec = precision if precision is not None else system.precision
+    prec = _checked_precision(precision) if precision is not None else system.precision
     for _, q in system.convergents(max_depth):
         if q < 1:
             continue

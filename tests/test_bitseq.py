@@ -8,6 +8,7 @@ from shiftrec.bitseq import (
     ExplicitPrefixSource,
     FileSource,
     PseudorandomSource,
+    SequenceSource,
     Word,
     all_words,
     constant_source,
@@ -115,6 +116,31 @@ def test_pseudorandom_window_agrees_with_bits():
     src = PseudorandomSource(99)
     w = src.window(37, 131)
     assert all(w.bit(i) == src.bit(37 + i) for i in range(131))
+
+
+PSEUDORANDOM_WINDOWS = [
+    (0, 0), (100, 0),  # length 0
+    (5, 1), (0, 13), (70, 40), (127, 1),  # inside one block
+    (0, 64), (64, 64), (192, 64), (128, 1), (63, 1), (64, 1),  # on block edges
+    (63, 2), (60, 64), (1, 64), (32, 64), (63, 66),  # 64 bits or so over two blocks
+    (0, 200), (10, 200), (64, 192), (63, 200),  # 200 bits over 3 or 4 blocks
+]
+
+
+@pytest.mark.parametrize("start,length", PSEUDORANDOM_WINDOWS)
+def test_pseudorandom_window_matches_bitwise_reference(start, length):
+    # SequenceSource.window reads the stream bit by bit through ``bit``,
+    # which mixes its block afresh instead of reading the cache
+    src = PseudorandomSource(0x5EED)
+    assert src.window(start, length) == SequenceSource.window(src, start, length)
+
+
+def test_pseudorandom_window_after_a_far_read():
+    # the first read fills the cache out to block 9, the later ones read inside it
+    src = PseudorandomSource(2024)
+    reads = [(600, 40), (3, 1), (0, 64), (250, 200), (640, 1), (700, 64)]
+    for start, length in reads:
+        assert src.window(start, length) == SequenceSource.window(src, start, length)
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,24 @@ def test_rotate_subcommand(capsys):
     assert data["ceiling"] == 400
 
 
+@pytest.mark.parametrize(
+    "flags,env_precision",
+    [(["--precision", "0"], None), ([], "0"), (["--precision", "-3"], None)],
+)
+def test_rotate_rejects_nonpositive_precision(flags, env_precision, tmp_path):
+    """A precision below 1 is a usage error, not an endless doubling of 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    env.pop("SHIFTREC_PRECISION", None)
+    if env_precision is not None:
+        env["SHIFTREC_PRECISION"] = env_precision
+    argv = [sys.executable, "-m", "shiftrec.cli", "rotate", "--k", "2", *flags]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=30)
+    assert proc.returncode == 2
+    assert b"precision must be a positive integer" in proc.stderr
+
+
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, _ = run_cli(

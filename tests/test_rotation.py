@@ -7,6 +7,7 @@ import pytest
 from shiftrec import rotation
 from shiftrec.errors import DepthExhaustedError, PrecisionError
 from shiftrec.rotation import (
+    _MAX_PRECISION,
     RotationSystem,
     cf_accelerated_return,
     circle_norm,
@@ -173,6 +174,21 @@ def test_cf_terms():
     assert RotationSystem("cf:2,3").exact == Fraction(3, 7)
 
 
+@pytest.mark.parametrize("precision", [0, -3])
+def test_nonpositive_precision_is_rejected(precision):
+    system = RotationSystem.golden()
+    report = find_multi_return(system, 2, "0.05", 400)
+    calls = [
+        lambda: RotationSystem("golden", precision),
+        lambda: find_multi_return(system, 2, "0.05", 400, precision),
+        lambda: cf_accelerated_return(system, 2, "0.05", precision=precision),
+        lambda: verify_return(system, report, precision),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="precision must be a positive integer"):
+            call()
+
+
 def test_alpha_parsing():
     assert RotationSystem("0.25").exact == Fraction(1, 4)
     assert RotationSystem("3/8").exact == Fraction(3, 8)
@@ -181,3 +197,47 @@ def test_alpha_parsing():
         RotationSystem("cf:0,1")
     with pytest.raises(ValueError):
         RotationSystem("pi")
+
+
+def _fraction_certified_distances(system, k, n, epsilon, precision):
+    """Reference for rotation._certified_distances: the same decisions made on
+    Fractions, one circle_norm per multiple."""
+    while True:
+        value, err = system.approx(precision)
+        dists = []
+        for i in range(1, k + 1):
+            d = circle_norm(i * n * value)
+            slack = i * n * err
+            if d + slack < epsilon:
+                dists.append(d)
+            elif d - slack >= epsilon:
+                return None, precision
+            else:
+                break
+        else:
+            return tuple(dists), precision
+        precision *= 2
+        if precision > _MAX_PRECISION:
+            raise PrecisionError(f"distance for n={n}, i={i} undecidable within error {slack}")
+
+
+@pytest.mark.parametrize("alpha", ["golden", "47/1024", "cf:1,2,3"])
+@pytest.mark.parametrize("precision", [None, 2])
+def test_integer_scan_matches_fraction_reference(alpha, precision, monkeypatch):
+    """Same n, distances and precision as the Fraction scan, for every k and epsilon."""
+    cases = [
+        (k, Fraction(1, q)) for k in (1, 2, 3, 4) for q in (20, 100, 997)
+    ]
+
+    def scan():
+        system = RotationSystem(alpha)
+        return [
+            find_multi_return(system, k, eps, dirichlet_ceiling(k, eps), precision)
+            for k, eps in cases
+        ] + [cf_accelerated_return(system, k, eps, precision=precision) for k, eps in cases]
+
+    integer = scan()
+    monkeypatch.setattr(rotation, "_certified_distances", _fraction_certified_distances)
+    reference = scan()
+    assert all(r is not None for r in reference)
+    assert integer == reference
