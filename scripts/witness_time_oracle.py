@@ -12,6 +12,8 @@ for the target "first bit is 1" (per-step success probability 2**-k):
 Successive candidate times share bit positions (the check at n reads bits
 n, 2n, .., kn), so W is *not* an independent-trials first-success time:
 already P(W > 2) = 50/64 for k = 3 rather than (7/8)**2 = 49/64.
+
+This script alone needs numpy; the shiftrec package does not depend on it.
 """
 
 import argparse

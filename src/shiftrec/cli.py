@@ -366,16 +366,27 @@ def _cmd_verify(args) -> int:
     return 1 if bad else 0
 
 
+def _count(text: str) -> int:
+    """A flag value that counts levels, stages or steps: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, not {text!r}")
+    return value
+
+
 # Every flag's argparse settings; each subcommand takes only the flags it reads.
 _FLAGS = {
     "k": dict(type=int),
-    "r": dict(type=int),
-    "v": dict(type=int),
-    "t-max": dict(type=int),
-    "n-max": dict(type=int),
-    "stage-max": dict(type=int),
-    "m-max": dict(type=int),
-    "u-max": dict(type=int),
+    "r": dict(type=_count),
+    "v": dict(type=_count),
+    "t-max": dict(type=_count),
+    "n-max": dict(type=_count),
+    "stage-max": dict(type=_count),
+    "m-max": dict(type=_count),
+    "u-max": dict(type=_count),
     "epsilon": dict(type=str),
     "alpha": dict(type=str),
     "precision": dict(type=int),

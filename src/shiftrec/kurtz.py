@@ -3,29 +3,26 @@
 With block spacing ``n_t = n0 * (k+1)**t`` the bit windows examined at all
 stages are pairwise disjoint, so the survivor measure after stages
 ``0..t`` is exactly ``(1 - p**k)**(t+1)`` where ``p`` is the target
-measure.  The certificate nevertheless enumerates every word of the
-bounding length and counts survivors, so the identity is checked rather
-than assumed.  The same loop counts grid survivors, whose blocks are the
+measure.  The certificate nevertheless counts the survivors over every
+assignment of the examined bits, so the identity is checked rather than
+assumed.  The same loop counts grid survivors, whose blocks are the
 scattered shell positions of moved sub-cubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .bitseq import SequenceSource, Word
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError, BudgetExceededError
-from .measure import ClopenSet
+from .measure import ClopenSet, free_bit_values
 from .recurrence import is_witness
 
-_CHUNK = 1 << 20
+# At most this many words of the bounding length, for word and grid survivor sets alike.
+_ENUMERATION_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -61,52 +58,51 @@ def _runs(block: Sequence[int], length: int) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _block_value(value: int, runs: list[tuple[int, int, int]]) -> int:
+    """The bits a block reads from the word ``value``, in block order."""
+    out = 0
+    for shift, mask, place in runs:
+        out |= ((value >> shift) & mask) << place
+    return out
+
+
 def _survivor_values(
     length: int,
     stages: Iterable[Iterable[Sequence[int]]],
     members: Iterable[int],
     formula: Dyadic,
-    enumeration_budget: int,
 ) -> list[int]:
     """Values of the length-``length`` words that survive every stage.
 
     A stage lists its blocks, each as the bit positions it reads, in block
     order.  A word survives a stage when the bits of at least one block,
-    read in that order, are not a member value.  All ``2**length`` words are
-    enumerated, so ``stages`` is read only once the budget allows it, and
-    the survivor measure must equal ``formula``.
+    read in that order, are not a member value.  The survivors among all
+    assignments of the read bits are counted, and their measure must equal
+    ``formula``; survival reads no other bit, so those bits are free.
+    ``stages`` is read only once the budget admits all ``2**length`` words.
     """
-    if (1 << length) > enumeration_budget:
+    if (1 << length) > _ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"stage set needs all 2^{length} configurations, beyond the budget of "
-            f"{enumeration_budget}"
+            f"{_ENUMERATION_BUDGET}"
         )
-    stage_runs = [[_runs(block, length) for block in blocks] for blocks in stages]
-    member_arr = np.asarray(sorted(members), dtype=np.int64)
-    out: list[int] = []
-    total = 1 << length
-    for lo in range(0, total, _CHUNK):
-        arr = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        keep = np.ones(arr.shape, dtype=bool)
-        for blocks in stage_runs:
-            all_in = np.ones(arr.shape, dtype=bool)
-            for runs in blocks:
-                # a one-run block costs one shift and one mask
-                parts = [((arr >> s) & m) << p if p else (arr >> s) & m for s, m, p in runs]
-                all_in &= np.isin(reduce(or_, parts), member_arr)
-            keep &= ~all_in
-        out.extend(arr[keep].tolist())
-    exact = Dyadic(len(out), length)
+    stage_blocks = [list(blocks) for blocks in stages]
+    read = {p for blocks in stage_blocks for block in blocks for p in block}
+    member_set = set(members)
+    kept = free_bit_values(length, read)
+    for blocks in stage_blocks:
+        runs = [_runs(block, length) for block in blocks]
+        kept = [v for v in kept if not all(_block_value(v, r) in member_set for r in runs)]
+    exact = Dyadic(len(kept), len(read))
     if exact != formula:
         raise BoundViolationError(
             f"survivor measure {exact} differs from the product formula {formula}"
         )
-    return out
+    unread = free_bit_values(length, (p for p in range(length) if p not in read))
+    return [v | u for v in kept for u in unread]
 
 
-def kurtz_stage_set(
-    target: ClopenSet, k: int, t: int, enumeration_budget: int = 1 << 24
-) -> TestCertificate:
+def kurtz_stage_set(target: ClopenSet, k: int, t: int) -> TestCertificate:
     """Clopen set of words surviving stages 0..t, with its exact measure.
 
     A word survives a stage when at least one of its k examined blocks lies
@@ -124,9 +120,7 @@ def kurtz_stage_set(
         )
     stages = [schedule.blocks(u) for u in range(t + 1)]
     formula = (D_ONE - target.measure() ** k) ** (t + 1)
-    values = _survivor_values(
-        length, stages, (w.value for w in target.words), formula, enumeration_budget
-    )
+    values = _survivor_values(length, stages, (w.value for w in target.words), formula)
     return new_certificate(
         kind="kurtz-stage",
         parameters={

@@ -44,6 +44,16 @@ def uncovered(
     return values
 
 
+def free_bit_values(length: int, positions: Iterable[int]) -> list[int]:
+    """Values, ascending, of every length-``length`` word that is zero outside
+    ``positions`` (distinct bit positions, 0 the first bit)."""
+    values = [0]
+    for p in sorted(positions, reverse=True):
+        bit = 1 << (length - 1 - p)
+        values += [v | bit for v in values]
+    return values
+
+
 def _value_buckets(words: _WordIter) -> dict[int, list[int]]:
     """The words' values bucketed by length, shortest first."""
     buckets: defaultdict[int, list[int]] = defaultdict(list)

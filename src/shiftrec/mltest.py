@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .bitseq import EMPTY_WORD, Word
 from .certificates import TestCertificate, new_certificate
@@ -41,12 +40,16 @@ from .errors import BudgetExceededError, InapplicableBoundError
 from .measure import (
     PrefixFreeWordSet,
     StagedCoEnumeration,
+    free_bit_values,
     is_prefix_free,
     measure_open,
     prefix_reduce,
     split_tail,
     uncovered,
 )
+
+# Most consecutive nonempty levels counted for the escape sets.
+_LEVEL_CAP = 64
 
 
 class MLConstruction:
@@ -104,7 +107,6 @@ class MLConstruction:
                 first_stage = self._first_stage(s)
                 if t < first_stage:
                     continue
-                sigmas = [Word(v, n) for v in values]
                 for i in range(1, self.k + 1):
                     offset = self._offset(s, i)
                     if offset >= t:
@@ -119,23 +121,29 @@ class MLConstruction:
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        generated += len(sigmas) << (length - n - tau.length)
+                        generated += len(values) << (length - n - tau.length)
                         if generated > self.candidate_budget:
                             raise BudgetExceededError(
                                 f"level enumeration exceeded {self.candidate_budget} candidates"
                             )
+                        # a candidate starts with a parent, carries tau's bits
+                        # at their positions and is free elsewhere
                         at = self._tau_positions(s, i, t, tau)
-                        for sigma in sigmas:
-                            batch = set(_extensions(sigma, tau, at, length)) - found
-                            found.update(uncovered(batch, length, entered))
+                        fixed = sum(b << (length - 1 - p) for p, b in zip(at, tau.bits()))
+                        taken = set(at)
+                        free = free_bit_values(
+                            length, (p for p in range(n, length) if p not in taken)
+                        )
+                        batch = {(v << (length - n)) | fixed | f for v in values for f in free}
+                        found.update(uncovered(batch - found, length, entered))
             if found:
                 entered[length] = found
         return PrefixFreeWordSet.from_values(entered)
 
-    def levels_until_empty(self, hard_cap: int = 64) -> int:
+    def levels_until_empty(self) -> int:
         """Number of consecutive nonempty levels reachable within the budget."""
         r = 0
-        while r < hard_cap and self.level(r):
+        while r < _LEVEL_CAP and self.level(r):
             r += 1
         return r
 
@@ -153,21 +161,6 @@ class MLConstruction:
             required_bound=q**r if q < D_ONE else D_ONE,
             stage_budget=self.stage_max,
         )
-
-
-def _extensions(sigma: Word, tau: Word, tau_at: Sequence[int], length: int) -> list[int]:
-    """Values of every length-``length`` word that starts with ``sigma`` and
-    carries ``tau``'s bits at positions ``tau_at``; the other bits are free."""
-    value = sigma.value << (length - sigma.length)
-    for p, b in zip(tau_at, tau.bits()):
-        value |= b << (length - 1 - p)
-    values = [value]
-    fixed = set(tau_at)
-    for p in range(sigma.length, length):
-        if p not in fixed:
-            bit = 1 << (length - 1 - p)
-            values += [v | bit for v in values]
-    return values
 
 
 def ml_measure_bound(cert: TestCertificate, q: Dyadic, r: int) -> bool:

@@ -363,13 +363,11 @@ def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | 
     return None
 
 
-def grid_kurtz_stage_set(
-    target: ClopenSet, dimension: int, r: int, enumeration_budget: int = 1 << 24
-) -> TestCertificate:
+def grid_kurtz_stage_set(target: ClopenSet, dimension: int, r: int) -> TestCertificate:
     """Grid survivors through stages 1..r, shift amount ``r' * n1`` at stage r'.
 
     The target is a clopen set of the shell words of size-n1 cubes.  The
-    examined blocks are pairwise disjoint cells, so the exhaustive count
+    examined blocks are pairwise disjoint cells, so the survivor count
     must reproduce ``(1 - p**k)**r`` exactly; the construction still counts
     rather than assumes, and refuses to emit a violating certificate.
     """
@@ -389,7 +387,6 @@ def grid_kurtz_stage_set(
         ),
         (w.value for w in target.words),
         formula,
-        enumeration_budget,
     )
     return new_certificate(
         kind="kurtz-stage",

@@ -16,6 +16,9 @@ from .dyadic import D_ZERO, Dyadic, half_power
 from .errors import BoundViolationError, BudgetExceededError, NoCertificateError
 from .measure import StagedCoEnumeration, measure_open, prefix_reduce
 
+# Most words an error set may materialize before prefix reduction.
+_WORD_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class SchnorrSchedule:
@@ -62,7 +65,6 @@ def schnorr_error_set(
     k: int,
     v: int,
     t: int,
-    word_budget: int = 1 << 22,
 ) -> TestCertificate:
     """Certificate for the stage-t error set.
 
@@ -84,9 +86,9 @@ def schnorr_error_set(
             "schnorr-error", params, (), D_ZERO, bound, stage_budget=nt
         )
     total = sum((1 << (i * nt)) * len(late) for i in range(1, k + 1))
-    if total > word_budget:
+    if total > _WORD_BUDGET:
         raise BudgetExceededError(
-            f"error set would materialize {total} words, beyond {word_budget}"
+            f"error set would materialize {total} words, beyond {_WORD_BUDGET}"
         )
     words: set[Word] = set()
     for i in range(1, k + 1):

@@ -219,6 +219,49 @@ def test_rotate_rejects_nonpositive_precision(flags, env_precision, tmp_path):
     assert b"precision must be a positive integer" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kurtz", "--clopen", "1", "--k", "2", "--t-max", "-1"),
+        ("grid", "--op", "kurtz", "--target-bits", "1", "--r", "-2"),
+        ("mltest", "--class-file", "M.txt", "--k", "2", "--r", "-1"),
+        ("grid", "--op", "ml", "--class-file", "Bg.txt", "--r", "-1"),
+        ("rotate", "--n-max", "-5"),
+    ],
+    ids=["kurtz-t-max", "grid-kurtz-r", "mltest-direct-r", "grid-ml-r", "rotate-n-max"],
+)
+def test_negative_count_flag_is_usage_error(argv, tmp_path, capsys):
+    """A negative count exits 2 instead of printing an empty or vacuous result."""
+    (tmp_path / "M.txt").write_text("stage 2: 11\nstage 5: 00000\n")
+    (tmp_path / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_negative_count_in_config_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"clopen": "1", "k": 2, "t-max": -1}))
+    assert main(["kurtz", "--config", str(conf)]) == 2
+    assert "config key 't-max': must be a nonnegative integer" in capsys.readouterr().err
+    # zero stages stay valid, as documented
+    conf.write_text(json.dumps({"clopen": "1", "k": 2, "t-max": 0}))
+    code, out = run_cli(capsys, "kurtz", "--config", str(conf))
+    assert code == 0 and json.loads(out)["certificates"] == []
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    """The package has no runtime dependency: importing the CLI loads no numpy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    code = "import sys, shiftrec.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 0
+
+
 def test_verify_roundtrip_and_tamper(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     code, _ = run_cli(

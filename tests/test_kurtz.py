@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from shiftrec.bitseq import ExplicitPrefixSource, PseudorandomSource, Word, constant_source
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BoundViolationError, BudgetExceededError
-from shiftrec.kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
+from shiftrec.kurtz import KurtzSchedule, _survivor_values, kurtz_capture, kurtz_stage_set
 from shiftrec.measure import ClopenSet, measure_open
 
 
@@ -77,6 +77,40 @@ def test_measure_identity_matches_oracle(n0, k, t, mask):
     count, length = oracle_survivors(strings, n0, k, t)
     assert cert.exact_measure == Dyadic(count, length)
     assert measure_open(cert.words) == cert.exact_measure
+
+
+@st.composite
+def block_layouts(draw):
+    """A word length, stages of blocks of one size reading distinct positions in
+    any order (blocks may overlap, and some positions may go unread), and the
+    member values of that block size."""
+    length = draw(st.integers(1, 10))
+    size = draw(st.integers(1, min(3, length)))
+    block = st.lists(st.integers(0, length - 1), min_size=size, max_size=size, unique=True)
+    stages = draw(st.lists(st.lists(block, min_size=1, max_size=3), min_size=1, max_size=3))
+    members = draw(st.sets(st.integers(0, (1 << size) - 1)))
+    return length, stages, members
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_layouts())
+def test_survivor_values_match_brute_force(layout):
+    length, stages, members = layout
+    survivors = set()
+    for value in range(1 << length):
+        bits = format(value, f"0{length}b")
+        if all(
+            any(int("".join(bits[p] for p in block), 2) not in members for block in blocks)
+            for blocks in stages
+        ):
+            survivors.add(value)
+    formula = Dyadic(len(survivors), length)
+    # the stages are read once, as the grid survivor count passes them
+    once = ((block for block in blocks) for blocks in stages)
+    values = _survivor_values(length, once, iter(members), formula)
+    assert len(values) == len(survivors) and set(values) == survivors
+    with pytest.raises(BoundViolationError):
+        _survivor_values(length, stages, members, Dyadic(len(survivors) + 1, length))
 
 
 def test_budget_guard():
