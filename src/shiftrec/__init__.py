@@ -35,6 +35,7 @@ from .errors import (
 from .kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
 from .measure import (
     ClopenSet,
+    CubeSet,
     PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,

@@ -4,7 +4,9 @@ A certificate packages one enumerated test component: the words (or the
 shell words of grid samples) it has produced, the exact measure of the open
 set they generate, and the bound the construction promises.  A certificate
 whose measure exceeds its bound indicates a construction bug, never a
-legitimate run.
+legitimate run.  A level set that stands for more than ``CUBE_WORDS``
+words is held and written as its disjoint ``0/1/*`` cube cover instead of
+its words.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ from typing import Any, Iterable
 from .bitseq import Word, word_strings, words_from_strings
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError
-from .measure import measure_open, prefix_reduce, sorted_words
+from .measure import CubeSet, measure_open, prefix_reduce, sorted_words
 
 # the C implementation whenever the interpreter has one
 _escape = json.encoder.encode_basestring_ascii
 
 KINDS = ("kurtz-stage", "schnorr-error", "ml-Cr", "ml-Gm", "ml-refined")
+
+# A cover standing for more words than this is written as cubes.
+CUBE_WORDS = 4096
+# Most cube visits verify makes while splitting a cover to look for overlaps.
+OVERLAP_STEPS = 1 << 22
 
 
 @dataclass
@@ -33,7 +40,9 @@ class TestCertificate:
 
     kind: str
     parameters: dict[str, Any]
-    words: tuple  # Words; a grid certificate holds the shell words of its cube samples
+    # Words, or above CUBE_WORDS a level's CubeSet; a grid certificate holds
+    # the shell words of its cube samples.  len() counts words either way.
+    words: tuple | CubeSet
     exact_measure: Dyadic
     required_bound: Dyadic
     stage_budget: int
@@ -50,7 +59,11 @@ class TestCertificate:
         return {
             "kind": self.kind,
             "parameters": dict(sorted(self.parameters.items())),
-            "words": word_strings(self.words),
+            **(
+                {"cubes": self.words.strings()}
+                if isinstance(self.words, CubeSet)
+                else {"words": word_strings(self.words)}
+            ),
             "exact_measure": str(self.exact_measure),
             "required_bound": str(self.required_bound),
             "stage_budget": self.stage_budget,
@@ -59,8 +72,11 @@ class TestCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TestCertificate":
-        if not isinstance(data, dict) or not isinstance(data.get("words"), list):
-            raise ValueError("a certificate must be a JSON object whose words are a list")
+        if not isinstance(data, dict) or ("words" in data) == ("cubes" in data):
+            raise ValueError("a certificate must be a JSON object with either words or cubes")
+        encoding = "cubes" if "cubes" in data else "words"
+        if not isinstance(data[encoding], list):
+            raise ValueError(f"a certificate's {encoding} must be a list")
         parameters, budget = data["parameters"], data["stage_budget"]
         if not isinstance(parameters, dict):
             raise ValueError("certificate parameters must be an object")
@@ -72,16 +88,21 @@ class TestCertificate:
         measures = (data["exact_measure"], data["required_bound"])
         if not all(isinstance(m, str) for m in measures):
             raise ValueError(f"a measure and a bound must be dyadic strings, got {measures!r}")
-        words = words_from_strings(data["words"])
+        if encoding == "cubes":
+            words = CubeSet.from_strings(data["cubes"])
+            lengths = {cube[0] for cube in words.cubes}
+        else:
+            words = tuple(words_from_strings(data["words"]))
+            lengths = {w.length for w in words}
         if dim > 1:
             # a grid word is the shell word of a cube: n**k bits for some n
-            for length in {w.length for w in words}:
+            for length in lengths:
                 if round(length ** (1 / dim)) ** dim != length:
                     raise ValueError(f"{length} bits do not fill a cube in dimension {dim}")
         return cls(
             kind=data["kind"],
             parameters=dict(parameters),
-            words=tuple(words),
+            words=words,
             exact_measure=Dyadic.from_string(measures[0]),
             required_bound=Dyadic.from_string(measures[1]),
             stage_budget=budget,
@@ -91,15 +112,19 @@ class TestCertificate:
 def new_certificate(
     kind: str,
     parameters: dict[str, Any],
-    words: Iterable[Word],
+    words: Iterable[Word] | CubeSet,
     exact_measure: Dyadic,
     required_bound: Dyadic,
     stage_budget: int,
 ) -> TestCertificate:
-    """Build a certificate, refusing to emit one that violates its bound."""
-    cert = TestCertificate(
-        kind, parameters, sorted_words(words), exact_measure, required_bound, stage_budget
-    )
+    """Build a certificate, refusing to emit one that violates its bound.
+
+    A cover of at most ``CUBE_WORDS`` words is expanded to its words."""
+    if isinstance(words, CubeSet) and len(words) <= CUBE_WORDS:
+        words = words.expand(CUBE_WORDS)
+    if not isinstance(words, CubeSet):
+        words = sorted_words(words)
+    cert = TestCertificate(kind, parameters, words, exact_measure, required_bound, stage_budget)
     if not cert.passes:
         raise BoundViolationError(
             f"{kind} certificate has measure {exact_measure} > bound {required_bound} "
@@ -143,17 +168,26 @@ def derived_bound(cert: TestCertificate) -> Dyadic | None:
 
 
 def verify_certificate(cert: TestCertificate) -> list[str]:
-    """Re-check a certificate from its own words and parameters; returns the
-    list of problems."""
+    """Re-check a certificate from its own words or cubes and parameters;
+    returns the list of problems.  Raises BudgetExceededError when looking
+    for overlapping cubes takes more than ``OVERLAP_STEPS`` steps."""
     problems: list[str] = []
-    words = frozenset(cert.words)
-    reduced = prefix_reduce(words)
-    if len(reduced) != len(words):
-        problems.append("word set is not prefix-free")
-    recomputed = measure_open(reduced)
+    if isinstance(cert.words, CubeSet):
+        overlap = cert.words.overlap(OVERLAP_STEPS)
+        if overlap is not None:
+            problems.append(f"cubes {overlap[0]!r} and {overlap[1]!r} overlap")
+        recomputed = cert.words.measure()
+        lengths = [cube[0] for cube in cert.words.cubes]
+    else:
+        words = frozenset(cert.words)
+        reduced = prefix_reduce(words)
+        if len(reduced) != len(words):
+            problems.append("word set is not prefix-free")
+        recomputed = measure_open(reduced)
+        lengths = map(itemgetter(1), words)
     # A stage-t word of a k-dimensional certificate has length t**k.
     longest = cert.stage_budget ** int(cert.parameters.get("dimension", 1))
-    if cert.kind.startswith("ml-") and max(map(itemgetter(1), words), default=0) > longest:
+    if cert.kind.startswith("ml-") and max(lengths, default=0) > longest:
         problems.append("a word is longer than the stage budget")
     if recomputed != cert.exact_measure:
         problems.append(

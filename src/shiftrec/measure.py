@@ -1,10 +1,12 @@
-"""Exact uniform measures of open sets given by word sets.
+"""Exact uniform measures of open sets given by word sets and cube covers.
 
 An open set is presented by the words whose cylinders it unions.  After
 prefix reduction the cylinders are pairwise disjoint, so every measure here
-is an exact dyadic sum of powers of two.  Effectively closed sets are kept
-as staged co-enumerations of their complements, the convention being that a
-word delivered at stage ``t`` has length exactly ``t``.
+is an exact dyadic sum of powers of two.  A :class:`CubeSet` presents one as
+pairwise disjoint ``0/1/*`` cubes instead, which stand for exponentially
+many words each.  Effectively closed sets are kept as staged
+co-enumerations of their complements, the convention being that a word
+delivered at stage ``t`` has length exactly ``t``.
 
 Grid samples of dimension ``k`` are words too: a size-``n`` cube is read in
 shell order (see :mod:`shiftrec.multidim`), which makes it a word of length
@@ -74,15 +76,6 @@ class PrefixFreeWordSet:
         object.__setattr__(self, "words", ws)
         object.__setattr__(self, "_table", None)  # values by length, built on first use
 
-    @classmethod
-    def from_values(cls, table: dict[int, set[int]]) -> "PrefixFreeWordSet":
-        """The words of a by-length value table (word length -> the values of
-        the words of that length) that the caller knows to be prefix-free; the
-        table is not checked, and it becomes the set's index."""
-        pfs = cls((Word(v, n) for n, vs in table.items() for v in vs), _validated=True)
-        object.__setattr__(pfs, "_table", table)
-        return pfs
-
     def values_by_length(self) -> dict[int, set[int]]:
         """The members' values by word length, built on first use; read only."""
         if self._table is None:
@@ -147,6 +140,212 @@ def measure_open(words: _WordIter | PrefixFreeWordSet) -> Dyadic:
         return D_ZERO
     top = max(per_length)
     return Dyadic(sum(count << (top - n) for n, count in per_length.items()), top)
+
+
+# A cube is ``(length, care, value)``: the bits set in ``care`` are fixed to
+# those of ``value`` (zero elsewhere), the others are free; bit 0 is the
+# leftmost bit, as for words.
+Cube = tuple[int, int, int]
+
+
+def sharp(a: Cube, b: Cube) -> list[Cube]:
+    """``a # b``: pairwise disjoint cubes of ``a``'s length covering exactly
+    the words of ``a`` outside the cylinder of ``b``, which is no longer.
+
+    Each bit that ``b`` cares about and ``a`` leaves free gives one cube that
+    agrees with ``b`` on the earlier such bits and differs from it at this
+    one (Brayton et al., *Logic Minimization Algorithms for VLSI Synthesis*,
+    1984).
+    """
+    n, care, value = a
+    m, b_care, b_value = b
+    if m > n:
+        raise ValueError(f"cannot sharp a length-{n} cube by a length-{m} cube")
+    b_care <<= n - m
+    b_value <<= n - m
+    if care & b_care & (value ^ b_value):
+        return [a]  # already disjoint
+    pieces = []
+    free = b_care & ~care
+    while free:
+        bit = free & -free
+        pieces.append((n, care | bit, value | (bit & ~b_value)))
+        care |= bit
+        value |= bit & b_value
+        free ^= bit
+    return pieces
+
+
+def _leaves(cubes: list, removed: list, length: int, budget: int | None = None) -> Iterator:
+    """Split cubes of one length on their bits into groups whose cubes all meet.
+
+    ``cubes`` and ``removed`` hold ``(care, value, ...)`` tuples of cubes of
+    ``length`` bits.  Yields ``(care, value, group, removed)`` per leaf: the
+    bits split on and their values, the cubes that agree with them, and the
+    removed cubes that do.  The group's first cube fixes no bit that is
+    left unsplit and that some cube of the group fixes differently, so that
+    cube, fixed on the split bits too, holds every word of the group below
+    the split and meets each of its cubes.  Each split is on a bit of the
+    largest cube, which is therefore never copied; distinct words cost about
+    their number times the depth at which they branch.  Raises
+    BudgetExceededError once more than ``budget`` cubes have been visited.
+    """
+    visits = 0
+    stack = [(0, 0, (1 << length) - 1, cubes, removed)]
+    while stack:
+        care, value, rest, group, others = stack.pop()
+        visits += len(group)
+        if budget is not None and visits > budget:
+            raise BudgetExceededError(f"splitting {len(cubes)} cubes takes over {budget} steps")
+        if len(group) == 1:
+            yield care, value, group, others
+            continue
+        alike, differ, first = rest, 0, group[0][1]
+        for cube in group:
+            alike &= cube[0]
+            differ |= cube[1] ^ first
+        # a bit that every cube fixes alike never separates two of them
+        rest &= ~(alike & ~differ)
+        # splitting on the bits of the largest cube never copies it
+        big = min(group, key=lambda cube: (cube[0] & rest).bit_count())
+        split = big[0] & rest
+        if split:
+            bit = 1 << (split.bit_length() - 1)
+            for side in (0, bit):
+                sub = [c for c in group if not c[0] & bit or c[1] & bit == side]
+                if sub:
+                    kept = [c for c in others if not c[0] & bit or c[1] & bit == side]
+                    stack.append((care | bit, value | side, rest ^ bit, sub, kept))
+            continue
+        yield care, value, [big, *(cube for cube in group if cube is not big)], others
+
+
+def sharp_cover(cubes: Iterable[Cube], removed: Iterable[Cube]) -> list[Cube]:
+    """The words matched by some of ``cubes``, all of one length, and in no
+    cylinder of ``removed``, whose cubes are no longer: as pairwise disjoint
+    cubes of that length.
+
+    The cubes are split on their bits (see :func:`_leaves`) until each
+    group is contained in one of its members, and that member, fixed on the
+    split bits, is sharped by the removed cubes that agree with them.
+    """
+    cubes = list(cubes)
+    if not cubes:
+        return []
+    n = cubes[0][0]
+    padded = [(care << (n - m), value << (n - m)) for m, care, value in removed]
+    pieces = []
+    for care, value, group, others in _leaves([c[1:] for c in cubes], padded, n):
+        parts = [(n, group[0][0] | care, group[0][1] | value)]
+        for o_care, o_value in others:
+            parts = [q for p in parts for q in sharp(p, (n, o_care, o_value))]
+        pieces += parts
+    return pieces
+
+
+def _cube_text(cube: Cube) -> str:
+    n, care, value = cube
+    if not n:
+        return ""
+    bits = format(value, f"0{n}b")
+    if care == (1 << n) - 1:
+        return bits
+    return "".join(b if c == "1" else "*" for b, c in zip(bits, format(care, f"0{n}b")))
+
+
+def _text_cube(text: str) -> Cube:
+    if not isinstance(text, str) or text.strip("01*"):
+        raise ValueError(f"not a 0/1/* cube: {text!r}")
+    if not text:
+        return (0, 0, 0)
+    care = int(text.replace("0", "1").replace("*", "0"), 2)
+    return (len(text), care, int(text.replace("*", "0"), 2))
+
+
+class CubeSet:
+    """An open set as a cover of pairwise disjoint cubes.
+
+    A cube stands for the words of its length that it matches, and for the
+    union of their cylinders: a shorter cube is padded with free bits.  The
+    cover's padded cubes must be pairwise disjoint; the constructor trusts
+    its caller, and :meth:`overlap` checks.  ``len()`` is the number of
+    words the cover stands for, counted without expanding it.
+    """
+
+    __slots__ = ("cubes",)
+
+    def __init__(self, cubes: Iterable[Cube]):
+        object.__setattr__(self, "cubes", tuple(cubes))
+
+    @classmethod
+    def from_words(cls, words: _WordIter) -> "CubeSet":
+        """The cover of a prefix-free word set, one fully cared cube per word."""
+        return cls((n, (1 << n) - 1, v) for v, n in words)
+
+    @classmethod
+    def from_strings(cls, texts: Iterable[str]) -> "CubeSet":
+        """The cover spelled by ``0/1/*`` strings; raises on any other character."""
+        return cls(map(_text_cube, texts))
+
+    def strings(self) -> list[str]:
+        """The cubes as ``0/1/*`` strings in (length, text) order."""
+        return sorted(map(_cube_text, self.cubes), key=lambda t: (len(t), t))
+
+    def measure(self) -> Dyadic:
+        """``Σ 2^-(cared bits)``, exactly; the cover's measure when it is disjoint."""
+        if not self.cubes:
+            return D_ZERO
+        top = max(care.bit_count() for _, care, _ in self.cubes)
+        return Dyadic(sum(1 << (top - care.bit_count()) for _, care, _ in self.cubes), top)
+
+    def __len__(self) -> int:
+        return sum(1 << (n - care.bit_count()) for n, care, _ in self.cubes)
+
+    def __bool__(self) -> bool:
+        return bool(self.cubes)
+
+    def covers(self, word: Word) -> bool:
+        """Some cube's cylinder contains the cylinder of ``word``."""
+        return any(
+            n <= word.length and not ((word.value >> (word.length - n)) ^ value) & care
+            for n, care, value in self.cubes
+        )
+
+    def expand(self, budget: int) -> list[Word]:
+        """The words the cover stands for; raises when there are more than ``budget``."""
+        if len(self) > budget:
+            raise BudgetExceededError(f"a cover of {len(self)} words exceeds {budget} words")
+        return [
+            Word(value | f, n)
+            for n, care, value in self.cubes
+            for f in free_bit_values(n, (p for p in range(n) if not care >> (n - 1 - p) & 1))
+        ]
+
+    def overlap(self, budget: int) -> tuple[str, str] | None:
+        """Two cubes whose padded cylinders meet, or None when the cover is
+        disjoint.  The cubes are split on their bits (see :func:`_leaves`);
+        a group of two or more holds cubes that meet.  Raises
+        BudgetExceededError after visiting more than ``budget`` cubes."""
+        if len(self.cubes) < 2:
+            return None
+        top = max(n for n, _, _ in self.cubes)
+        padded = [(c << (top - n), v << (top - n), (n, c, v)) for n, c, v in self.cubes]
+        for _, _, group, _ in _leaves(padded, [], top, budget):
+            if len(group) > 1:
+                return _cube_text(group[0][2]), _cube_text(group[1][2])
+        return None
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CubeSet is immutable")
+
+    def __eq__(self, other):
+        """The same cubes, in any order."""
+        if isinstance(other, CubeSet):
+            return frozenset(self.cubes) == frozenset(other.cubes)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"CubeSet({self.strings()!r})"
 
 
 def words_by_length(words: _WordIter) -> dict[int, list[Word]]:

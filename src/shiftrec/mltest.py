@@ -7,9 +7,13 @@ entered at stage ``s = len(sigma)`` with ``t > (k+1) s``, some shifted block
 ``eta[s*i:]`` extends a complement word enumerated by stage ``t - s*i``, and
 no prefix of ``eta`` has entered level ``r`` before.  Entries therefore have
 length equal to their entry stage and every level is prefix-free, so a level
-is kept as a plain :class:`~shiftrec.measure.PrefixFreeWordSet`: a member's
-entry stage is its length ``t``, or for a grid shell word of length ``t**k``
-the cube side ``t``.
+is kept as a disjoint cube cover, a :class:`~shiftrec.measure.CubeSet`: a
+member's entry stage is its length ``t``, or for a grid shell word of length
+``t**k`` the cube side ``t``.  The candidates of one parent cube and one
+witnessing word form a single cube; a stage's such cubes below one parent
+are split into disjoint cubes and sharped by the parent's earlier entries
+(:func:`~shiftrec.measure.sharp_cover`), so a level is built, measured and
+written without listing its words.
 
 The shifted-block condition is cylinder membership (the tail *extends* an
 enumerated word); requiring the tail to *be* an enumerated word would leave
@@ -30,7 +34,9 @@ admissible stage, the block offset and where a witnessing block's bits sit.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from fractions import Fraction
 
 from .bitseq import EMPTY_WORD, Word
@@ -38,14 +44,14 @@ from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from .errors import BudgetExceededError, InapplicableBoundError
 from .measure import (
+    CubeSet,
     PrefixFreeWordSet,
     StagedCoEnumeration,
-    free_bit_values,
     is_prefix_free,
     measure_open,
     prefix_reduce,
+    sharp_cover,
     split_tail,
-    uncovered,
 )
 
 # Most consecutive nonempty levels counted for the escape sets.
@@ -72,9 +78,9 @@ class MLConstruction:
         self.q = k * measure_open(coenum.cumulative(stage_max))
         # a stage-t entry has length t**dimension
         self._stage_of_length = {t**coenum.dimension: t for t in range(stage_max + 1)}
-        self._levels = [PrefixFreeWordSet((EMPTY_WORD,), _validated=True)]
+        self._levels = [CubeSet.from_words((EMPTY_WORD,))]
 
-    def level(self, r: int) -> PrefixFreeWordSet:
+    def level(self, r: int) -> CubeSet:
         """Level r, truncated at the stage budget."""
         if r < 0:
             raise ValueError("level index must be nonnegative")
@@ -95,18 +101,25 @@ class MLConstruction:
         start = self._offset(s, i)
         return range(start, start + tau.length)
 
-    def _build_level(self, parents: PrefixFreeWordSet) -> PrefixFreeWordSet:
-        entered: dict[int, set[int]] = {}  # word length -> values entered at it
-        generated = 0
+    def _build_level(self, parents: CubeSet) -> CubeSet:
+        # the parents of one length share a stage and are extended together
+        groups: defaultdict[int, list] = defaultdict(list)
+        for cube in parents.cubes:
+            groups[cube[0]].append(cube)
+        group_words = {n: len(CubeSet(group)) for n, group in groups.items()}
+        # A child lies in its parent's cylinder and the parents are disjoint,
+        # so a child can meet only the cubes entered below its own parent.
+        entered: dict[tuple, list] = {cube: [] for cube in parents.cubes}
+        generated = 0  # candidate words
         for t in range(1, self.stage_max + 1):
             length = t**self.coenum.dimension
-            found: set[int] = set()
-            # the parents of one length share a stage and are extended together
-            for n, values in parents.values_by_length().items():
+            for n, group in sorted(groups.items()):
                 s = self._stage_of_length[n]
                 first_stage = self._first_stage(s)
                 if t < first_stage:
                     continue
+                pad = length - n
+                blocks = []  # (care, value) of each witnessing word's bits
                 for i in range(1, self.k + 1):
                     offset = self._offset(s, i)
                     if offset >= t:
@@ -121,24 +134,30 @@ class MLConstruction:
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        generated += len(values) << (length - n - tau.length)
+                        generated += group_words[n] << (pad - tau.length)
                         if generated > self.candidate_budget:
                             raise BudgetExceededError(
                                 f"level enumeration exceeded {self.candidate_budget} candidates"
                             )
-                        # a candidate starts with a parent, carries tau's bits
-                        # at their positions and is free elsewhere
                         at = self._tau_positions(s, i, t, tau)
+                        care = sum(1 << (length - 1 - p) for p in at)
+                        if care >> pad:
+                            raise ValueError("a witnessing block overlaps its parent")
                         fixed = sum(b << (length - 1 - p) for p, b in zip(at, tau.bits()))
-                        taken = set(at)
-                        free = free_bit_values(
-                            length, (p for p in range(n, length) if p not in taken)
-                        )
-                        batch = {(v << (length - n)) | fixed | f for v in values for f in free}
-                        found.update(uncovered(batch - found, length, entered))
-            if found:
-                entered[length] = found
-        return PrefixFreeWordSet.from_values(entered)
+                        blocks.append((care, fixed))
+                if not blocks:
+                    continue
+                for parent in group:
+                    # a child keeps its parent's bits, carries tau's bits at
+                    # their positions and is free elsewhere; the stage's
+                    # entries are the children outside every earlier entry
+                    _, p_care, p_value = parent
+                    children = [
+                        (length, p_care << pad | care, p_value << pad | fixed)
+                        for care, fixed in blocks
+                    ]
+                    entered[parent] += sharp_cover(children, entered[parent])
+        return CubeSet(chain.from_iterable(entered.values()))
 
     def levels_until_empty(self) -> int:
         """Number of consecutive nonempty levels reachable within the budget."""
@@ -157,7 +176,7 @@ class MLConstruction:
             kind="ml-Cr",
             parameters={**parameters, "r": r, "q": str(q)},
             words=level,
-            exact_measure=measure_open(level),
+            exact_measure=level.measure(),
             required_bound=q**r if q < D_ONE else D_ONE,
             stage_budget=self.stage_max,
         )
@@ -203,8 +222,10 @@ def ml_enumerate_G(
         raise ValueError("escape sets require a prefix-free complement enumeration")
     if construction.q >= k:  # q is k times the complement's measure
         raise ValueError("escape sets require a target of positive measure")
-    levels = (construction.level(r) for r in range(construction.levels_until_empty()))
-    chain_words = frozenset().union(*levels)
+    budget = construction.candidate_budget
+    chain_words = frozenset().union(
+        *(construction.level(r).expand(budget) for r in range(construction.levels_until_empty()))
+    )
     stages = sorted({w.length for w in chain_words if w.length > head_max_len})
     head_set = prefix_reduce(head)
 
@@ -265,14 +286,15 @@ def ml_refined_levels(
         raise InapplicableBoundError(f"tail is not light enough: q = {q}")
 
     certs: list[TestCertificate] = []
-    current = construction.level(base_r)
+    budget = construction.candidate_budget
+    current = PrefixFreeWordSet(construction.level(base_r).expand(budget), _validated=True)
     for u in range(base_r, u_max + 1):
         if u > base_r:
             # level u - 1 is prefix-free, so a word of current that is a
             # proper prefix of eta is eta's parent
             lengths = sorted(current.values_by_length())
             kept = []
-            for eta in construction.level(u):
+            for eta in construction.level(u).expand(budget):
                 s = next(
                     (s for s in lengths if s < eta.length and eta.take(s) in current), None
                 )

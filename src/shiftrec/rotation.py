@@ -208,6 +208,8 @@ def find_multi_return(
     scan goes on from that n: every smaller n stays certified "no return"."""
     if k < 1:
         raise ValueError("k must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")

@@ -194,7 +194,7 @@ def test_criterion_5_non_recurrence_capture():
             reachable = 0
             r = 0
             while con.level(r):
-                assert any(w.is_prefix_of(prefix) for w in con.level(r))
+                assert any(w.is_prefix_of(prefix) for w in con.level(r).expand(1 << 24))
                 reachable += 1
                 r += 1
             assert reachable >= 3

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from shiftrec.certificates import certificates_from_json, json_text
 from shiftrec.cli import main
 from shiftrec.dyadic import Dyadic
 
@@ -239,6 +240,21 @@ def test_negative_count_flag_is_usage_error(argv, tmp_path, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("recur", "--clopen", "1", "--seed", "1", "--n-max", "0"),
+        ("grid", "--op", "witness", "--target-bits", "1", "--n-max", "0"),
+        ("rotate", "--n-max", "0"),
+    ],
+    ids=["recur", "grid-witness", "rotate"],
+)
+def test_zero_n_max_is_usage_error(argv, capsys):
+    """A search up to n = 0 decides nothing: every search subcommand exits 2."""
+    assert main(list(argv)) == 2
+    assert "n_max must be positive" in capsys.readouterr().err
 
 
 def test_negative_count_in_config_is_usage_error(tmp_path, capsys):
@@ -669,3 +685,140 @@ def test_verify_reads_empty_certificate_list(argv, tmp_path, capsys):
     assert json.loads(path.read_text())["certificates"] == []
     code, out = run_cli(capsys, "verify", str(path))
     assert (code, out) == (0, "no certificates\n")
+
+
+# --- the cube encoding of large level sets ---------------------------------------
+
+ML_DIRECT_CSV = """kind,label,word_count,exact_measure,required_bound,pass
+ml-Cr,k=2;q=9/2^4;r=0,1,1/2^0,1/2^0,true
+ml-Cr,k=2;q=9/2^4;r=1,2,9/2^5,9/2^4,true
+ml-Cr,k=2;q=9/2^4;r=2,1007,4463/2^15,81/2^8,true
+ml-Cr,k=2;q=9/2^4;r=3,237600,7425/2^17,729/2^12,true
+ml-Cr,k=2;q=9/2^4;r=4,0,0/2^0,6561/2^16,true
+"""
+GRID_ML_CSV = """kind,label,word_count,exact_measure,required_bound,pass
+ml-Cr,dimension=2;q=1/2^3;r=0,1,1/2^0,1/2^0,true
+ml-Cr,dimension=2;q=1/2^3;r=1,1,1/2^4,1/2^3,true
+ml-Cr,dimension=2;q=1/2^3;r=2,253952,31/2^12,1/2^6,true
+"""
+
+
+@pytest.fixture(scope="module")
+def cube_runs(tmp_path_factory):
+    """argv of a 1-D and a grid level run whose last level is written as cubes."""
+    d = tmp_path_factory.mktemp("cubes")
+    (d / "M.txt").write_text("stage 2: 11\nstage 5: 00000\n")
+    (d / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    return {
+        "ml-direct": ("mltest", "--class-file", str(d / "M.txt"), "--k", "2", "--r", "4",
+                      "--stage-max", "22"),
+        "grid-ml": ("grid", "--op", "ml", "--class-file", str(d / "Bg.txt"), "--r", "2",
+                    "--stage-max", "6"),
+    }
+
+
+@pytest.mark.parametrize("job, csv", [("ml-direct", ML_DIRECT_CSV), ("grid-ml", GRID_ML_CSV)])
+def test_cube_levels_csv_counts_words(cube_runs, job, csv, capsys):
+    """CSV word counts are the number of words a cover stands for."""
+    assert run_cli(capsys, *cube_runs[job], "--format", "csv") == (0, csv)
+
+
+@pytest.mark.parametrize("job, cubes", [("ml-direct", 40), ("grid-ml", 5)])
+def test_cube_certificate_roundtrip_and_verify(cube_runs, job, cubes, tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main([*cube_runs[job], "--out", str(path)]) == 0
+    text = path.read_text()
+    data = json.loads(text)
+    encodings = [("cubes" in c, "words" in c) for c in data["certificates"]]
+    assert encodings[-1 if job == "grid-ml" else 3] == (True, False)
+    assert sum(cube for cube, _ in encodings) == 1
+    assert len(data["certificates"][-1 if job == "grid-ml" else 3]["cubes"]) == cubes
+    # reading and writing again gives the same bytes
+    data["certificates"] = [c.to_json_dict() for c in certificates_from_json(text)]
+    assert json_text(data) == text
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0 and out.count(": ok\n") == len(encodings)
+
+
+def _split_first_star_pair(cubes):
+    """Replace a cube with two halves that overlap: one fixes its first free
+    bit to 0, the other its second.  The measure stays the same."""
+    text = next(c for c in cubes if c.count("*") >= 2)
+    i = text.index("*")
+    j = text.index("*", i + 1)
+    half_i = text[:i] + "0" + text[i + 1 :]
+    half_j = text[:j] + "0" + text[j + 1 :]
+    return [c for c in cubes if c != text] + [half_i, half_j]
+
+
+def _cube_certificate(tmp_path, argv, edit):
+    src = tmp_path / "out.json"
+    assert main([*argv, "--out", str(src)]) == 0
+    cert = next(c for c in json.loads(src.read_text())["certificates"] if "cubes" in c)
+    edit(cert)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({"certificates": [cert]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "job, edit, problem",
+    [
+        ("ml-direct", lambda c: c.update(cubes=_split_first_star_pair(c["cubes"])), "overlap"),
+        ("grid-ml", lambda c: c.update(cubes=_split_first_star_pair(c["cubes"])), "overlap"),
+        ("grid-ml", lambda c: c.update(exact_measure="1/2^6"), "differs from recomputed"),
+        # one more free bit keeps every cube's measure and disjointness
+        ("ml-direct", lambda c: c.update(cubes=[t + "*" for t in c["cubes"]]),
+         "longer than the stage budget"),
+        ("grid-ml", lambda c: c.update(required_bound="1/2^0"), "the bound its parameters give"),
+    ],
+    ids=["overlap-1d", "overlap-grid", "measure", "too-long", "loosened-bound"],
+)
+def test_verify_rejects_altered_cubes(cube_runs, job, edit, problem, tmp_path, capsys):
+    path = _cube_certificate(tmp_path, cube_runs[job], edit)
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 1 and problem in out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(cubes=["1012" + c["cubes"][0][4:]]),
+        # a dimension-2 cube covers a square: 37 positions do not
+        lambda c: c.update(cubes=[t + "*" for t in c["cubes"]]),
+        lambda c: c.update(words=["1011"]),
+        lambda c: c.update(cubes="1011"),
+    ],
+    ids=["not-0-1-star", "grid-cube-not-square", "words-and-cubes", "cubes-not-list"],
+)
+def test_verify_rejects_malformed_cubes(cube_runs, edit, tmp_path, capsys):
+    path = _cube_certificate(tmp_path, cube_runs["grid-ml"], edit)
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_reads_a_level_of_many_single_word_cubes(tmp_path, capsys):
+    """A granularity-14 clopen puts 16,383 fully fixed cubes in level 1; the
+    overlap check splits them in near-linear time instead of comparing
+    every pair, so its own verify accepts them."""
+    path = tmp_path / "out.json"
+    assert main(["mltest", "--clopen", "00000000000001", "--k", "1", "--r", "1",
+                 "--stage-max", "14", "--out", str(path)]) == 0
+    level = json.loads(path.read_text())["certificates"][1]
+    assert len(level["cubes"]) == (1 << 14) - 1 and "*" not in "".join(level["cubes"])
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0 and out.count(": ok\n") == 2
+
+
+def test_verify_overlap_check_has_a_budget(tmp_path, capsys, monkeypatch):
+    """An overlap check that takes too many steps exits 2 instead of running on."""
+    import shiftrec.certificates as certificates
+
+    monkeypatch.setattr(certificates, "OVERLAP_STEPS", 3)
+    path = tmp_path / "many.json"
+    cert = {"kind": "ml-Cr", "parameters": {"k": 1, "q": "1/2^1", "r": 1},
+            "cubes": ["00", "01", "10", "11"], "exact_measure": "1/2^0",
+            "required_bound": "1/2^1", "stage_budget": 4, "pass": True}
+    path.write_text(json.dumps({"certificates": [cert]}))
+    assert main(["verify", str(path)]) == 2
+    assert "takes over 3 steps" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
@@ -6,14 +7,17 @@ from hypothesis import strategies as st
 
 from shiftrec.bitseq import EMPTY_WORD, Word, all_words
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
-from shiftrec.errors import NoCertificateError
+from shiftrec.errors import BudgetExceededError, NoCertificateError
 from shiftrec.measure import (
     ClopenSet,
+    CubeSet,
     PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,
     measure_open,
     prefix_reduce,
+    sharp,
+    sharp_cover,
     split_tail,
 )
 
@@ -74,11 +78,9 @@ def test_covers_examples():
     assert not prefix_reduce(set()).covers(W("0"))
 
 
-def test_set_from_values_uses_the_table_as_its_index():
-    table = {1: {0b0}, 3: {0b110, 0b111}}
-    s = PrefixFreeWordSet.from_values(table)
-    assert s == prefix_reduce(words("0", "110", "111"))
-    assert s.values_by_length() is table
+def test_values_by_length_indexes_the_members():
+    s = prefix_reduce(words("0", "110", "111"))
+    assert s.values_by_length() == {1: {0b0}, 3: {0b110, 0b111}}
     assert s.covers(W("1101")) and not s.covers(W("10"))
     assert prefix_reduce(words("0", "01", "110")).values_by_length() == {1: {0b0}, 3: {0b110}}
 
@@ -250,3 +252,136 @@ def test_remove_words():
     tail = b.remove_words(words("11"))
     assert tail.words() == words("0000")
     assert tail.measure() == Dyadic(1, 4)
+
+
+# --- disjoint cube covers, against brute-force expansion -----------------------
+
+
+@st.composite
+def cubes(draw, max_length=10, min_length=0):
+    n = draw(st.integers(min_length, max_length))
+    care = draw(st.integers(0, (1 << n) - 1))
+    return (n, care, draw(st.integers(0, (1 << n) - 1)) & care)
+
+
+@cache
+def cube_words(cube):
+    """Brute force: every word of the cube's length that matches it."""
+    n, care, value = cube
+    return frozenset(w for w in all_words(n) if not (w.value ^ value) & care)
+
+
+def in_cylinder(cube, word):
+    """The cube's padded cylinder contains the word's cylinder."""
+    n = cube[0]
+    return n <= word.length and word.take(n) in cube_words(cube)
+
+
+@st.composite
+def disjoint_covers(draw, max_length=10):
+    """A disjoint cover: random cubes, each made disjoint from those before by
+    sharp, so every cube is no longer than the ones it is sharped by."""
+    cover = []
+    for cube in sorted(draw(st.lists(cubes(max_length), max_size=5))):
+        pieces = [cube]
+        for other in cover:
+            pieces = [p for piece in pieces for p in sharp(piece, other)]
+        cover += pieces
+    return CubeSet(cover)
+
+
+def expansion(cover):
+    return set(cover.expand(1 << 20))
+
+
+@given(cubes(), st.data())
+def test_sharp_is_disjoint_and_removes_the_cylinder(a, data):
+    b = data.draw(cubes(max_length=a[0]))
+    pieces = sharp(a, b)
+    assert CubeSet(pieces).overlap(1 << 20) is None
+    assert all(p[0] == a[0] for p in pieces)
+    got = [w for p in pieces for w in cube_words(p)]
+    assert len(got) == len(set(got))
+    assert set(got) == {w for w in cube_words(a) if not in_cylinder(b, w)}
+
+
+@given(st.integers(0, 10), st.data())
+def test_sharp_cover_is_disjoint_union_minus_a_cover(n, data):
+    kids = data.draw(st.lists(cubes(min_length=n, max_length=n), max_size=6))
+    cover = data.draw(disjoint_covers(max_length=n))
+    pieces = sharp_cover(kids, cover.cubes)
+    assert CubeSet(pieces).overlap(1 << 20) is None
+    assert all(p[0] == n for p in pieces)
+    got = [w for p in pieces for w in cube_words(p)]
+    assert len(got) == len(set(got))
+    assert set(got) == {
+        w
+        for kid in kids
+        for w in cube_words(kid)
+        if not any(in_cylinder(c, w) for c in cover.cubes)
+    }
+
+
+def test_sharp_cover_of_many_words_is_fast():
+    """Thousands of distinct words cost about their number times their
+    branching depth, not their number squared."""
+    kids = [(14, (1 << 14) - 1, v) for v in range(1, 1 << 14)]
+    earlier = [(13, (1 << 13) - 1, 0)]
+    pieces = sharp_cover(kids, earlier)
+    assert len(CubeSet(pieces)) == (1 << 14) - 2
+    assert CubeSet(pieces).overlap(1 << 20) is None
+
+
+def test_sharp_needs_a_cube_no_longer():
+    with pytest.raises(ValueError):
+        sharp((1, 1, 1), (2, 3, 3))
+
+
+@given(disjoint_covers())
+def test_cover_measure_is_measure_open_of_its_expansion(cover):
+    words_ = expansion(cover)
+    assert is_prefix_free(words_)
+    assert cover.measure() == measure_open(words_)
+    assert len(cover) == len(words_) == sum(len(cube_words(c)) for c in cover.cubes)
+
+
+@given(disjoint_covers(), st.integers(0, 10), st.data())
+def test_cover_covers_agrees_with_expansion(cover, length, data):
+    word = Word(data.draw(st.integers(0, (1 << length) - 1)), length)
+    assert cover.covers(word) == any(w.is_prefix_of(word) for w in expansion(cover))
+
+
+@given(st.lists(cubes(max_length=6), max_size=4))
+def test_overlap_agrees_with_brute_force(cube_list):
+    cover = CubeSet(cube_list)
+    meets = any(
+        any(u.is_prefix_of(v) or v.is_prefix_of(u) for u in cube_words(a) for v in cube_words(b))
+        for i, a in enumerate(cube_list)
+        for b in cube_list[i + 1 :]
+    )
+    assert (cover.overlap(1 << 20) is not None) == meets
+
+
+@given(disjoint_covers())
+def test_cover_strings_roundtrip(cover):
+    assert CubeSet.from_strings(cover.strings()) == cover
+    assert all(set(t) <= set("01*") for t in cover.strings())
+
+
+def test_cover_examples_and_budgets():
+    cover = CubeSet.from_strings(["1*0", "01"])
+    assert cover.strings() == ["01", "1*0"]
+    assert len(cover) == 3 and cover.measure() == Dyadic(1, 1)
+    assert sorted(map(str, cover.expand(3))) == ["01", "100", "110"]
+    with pytest.raises(BudgetExceededError):
+        cover.expand(2)
+    assert CubeSet.from_strings([""]).measure() == D_ONE
+    assert not CubeSet([]) and len(CubeSet([])) == 0
+    assert CubeSet.from_words(words("0", "10")).covers(W("101"))
+    assert CubeSet.from_strings(["1*", "11"]).overlap(4) == ("1*", "11")
+    assert CubeSet.from_strings(["0", "10", "11"]).overlap(8) is None
+    with pytest.raises(BudgetExceededError):
+        CubeSet.from_strings(["0", "10", "11"]).overlap(7)
+    for bad in ("1x0", "1 0", "2"):
+        with pytest.raises(ValueError):
+            CubeSet.from_strings([bad])

@@ -30,6 +30,11 @@ def W(text):
     return Word.from_string(text)
 
 
+def level_words(con, r: int) -> set:
+    """Level r expanded to its words."""
+    return set(con.level(r).expand(1 << 24))
+
+
 def stages_as_strings(coenum: StagedCoEnumeration) -> dict[int, set[str]]:
     return {t: {str(w) for w in coenum.newly(t)} for t in coenum.stages}
 
@@ -98,7 +103,7 @@ def compare_levels(coenum, k, r_max, stage_max):
     con = MLConstruction(coenum, k, stage_max)
     oracle = oracle_levels(stages_as_strings(coenum), k, r_max, stage_max)
     for r in range(r_max + 1):
-        got = {str(w): w.length for w in con.level(r)}  # a word enters at its length
+        got = {str(w): w.length for w in level_words(con, r)}  # a word enters at its length
         assert got == oracle[r], f"level {r} mismatch for k={k}"
     return con
 
@@ -128,7 +133,7 @@ def test_levels_match_oracle_two_stage():
 
 def test_empty_complement_gives_empty_levels():
     con = MLConstruction(StagedCoEnumeration.empty(), 2, 10)
-    assert set(con.level(0)) == {EMPTY_WORD}
+    assert level_words(con, 0) == {EMPTY_WORD}
     for r in (1, 2, 3):
         assert len(con.level(r)) == 0
 
@@ -141,9 +146,9 @@ def test_level_zero_certificate():
 
 def test_single_word_level_values():
     con = MLConstruction(B_SINGLE, 2, 12)
-    assert set(con.level(1)) == {W("11")}  # entered at stage 2
+    assert level_words(con, 1) == {W("11")}  # entered at stage 2
     assert len(con.level(2)) == 14
-    assert {w.length for w in con.level(2)} == {7}
+    assert {w.length for w in level_words(con, 2)} == {7}
     assert len(con.level(3)) == 0  # needs a stage above 21
     assert con.q == Dyadic(1, 1)
 
@@ -152,13 +157,16 @@ def test_stage_discipline_and_prefix_freeness():
     for coenum, k in ((B_SINGLE, 2), (B_HEAVY, 2), (B_TWO, 1)):
         con = MLConstruction(coenum, k, 10)
         for r in range(4):
-            level = con.level(r)
+            level = level_words(con, r)
             assert all(w.length <= 10 for w in level)
+            # the cover is disjoint, so its expansion repeats no word
+            assert con.level(r).overlap(1 << 20) is None
+            assert len(level) == len(con.level(r))
             cert = con.level_certificate(r)
             assert is_prefix_free(cert.words)
             for w in level:
                 if r > 0:
-                    parents = [p for p in con.level(r - 1) if p.is_prefix_of(w)]
+                    parents = [p for p in level_words(con, r - 1) if p.is_prefix_of(w)]
                     assert len(parents) == 1
                     assert w.length > (k + 1) * parents[0].length
 
@@ -183,8 +191,8 @@ def test_measure_bound_inapplicable_when_q_big():
 def test_nesting_every_member_extends_previous_level():
     con = MLConstruction(B_ZERO, 1, 15)
     for r in range(1, 4):
-        for w in con.level(r):
-            assert any(p.is_prefix_of(w) for p in con.level(r - 1))
+        for w in level_words(con, r):
+            assert any(p.is_prefix_of(w) for p in level_words(con, r - 1))
 
 
 def test_non_recurrent_capture():
@@ -196,7 +204,7 @@ def test_non_recurrent_capture():
         r = 0
         while con.level(r):
             prefix = zeros.prefix(stage_max)
-            assert any(w.is_prefix_of(prefix) for w in con.level(r)), (k, r)
+            assert any(w.is_prefix_of(prefix) for w in level_words(con, r)), (k, r)
             r += 1
         assert r >= 3
 
@@ -273,11 +281,11 @@ def test_refined_levels_examples():
 def test_refined_base_equals_plain_level():
     con = MLConstruction(B_SINGLE, 2, 12)
     certs = ml_refined_levels(con, 1, B_SINGLE, 2)
-    assert set(certs[0].words) == set(con.level(1))
+    assert set(certs[0].words) == level_words(con, 1)
     # removing nothing refines nothing
     full = ml_refined_levels(con, 0, B_SINGLE, 2)
     for cert, r in zip(full, range(3)):
-        assert set(cert.words) == set(con.level(r))
+        assert set(cert.words) == level_words(con, r)
 
 
 def test_refined_nesting():
@@ -338,4 +346,4 @@ def test_truncation_monotone_in_stage_budget():
     deep = MLConstruction(B_SINGLE, 2, 12)
     shallow = MLConstruction(B_SINGLE, 2, 6)
     for r in range(3):
-        assert set(shallow.level(r)) <= set(deep.level(r))
+        assert level_words(shallow, r) <= level_words(deep, r)

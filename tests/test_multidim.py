@@ -396,7 +396,7 @@ def test_grid_levels_match_oracle():
         {1: {"1"}, 3: {"000010000"}}, 2, 2, 4
     )
     for r in (0, 1, 2):
-        samples = [ArraySample.from_word(2, w) for w in con.level(r)]
+        samples = [ArraySample.from_word(2, w) for w in con.level(r).expand(1 << 24)]
         got = {(a.bit_string(), a.size): a.size for a in samples}  # entered at its side
         want = {((bits, size)): s for (bits, size), s in oracle[r].items()}
         assert got == want, f"grid level {r}"
@@ -416,7 +416,7 @@ def test_grid_ml_example():
 def test_grid_ml_empty_complement():
     empty = StagedCoEnumeration({}, dimension=2)
     con = GridMLConstruction(empty, 4)
-    assert set(con.level(0)) == {ArraySample(2, 0, ()).word()}
+    assert set(con.level(0).expand(1)) == {ArraySample(2, 0, ()).word()}
     for r in (1, 2):
         assert len(con.level(r)) == 0
     with pytest.raises(ValueError):
@@ -429,8 +429,9 @@ def test_grid_levels_prefix_free_and_staged():
     b = StagedCoEnumeration({1: {ONE_CELL.word()}}, dimension=2)
     con = GridMLConstruction(b, 4, candidate_budget=1 << 24)
     for r in (1, 2):
-        level = con.level(r)
+        level = con.level(r).expand(1 << 24)
         assert is_prefix_free(level)
+        assert con.level(r).overlap(1 << 20) is None and len(set(level)) == len(level)
         assert all(w.length in {s**2 for s in range(1, 5)} for w in level)
         cert = con.level_certificate(r)
         assert cert.exact_measure <= cert.required_bound
