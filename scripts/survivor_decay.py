@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print the survivor measure per stage for a clopen target.
 
-The measure should follow (1 - p**k)**(t+1) exactly; every row is produced
-by exhaustive enumeration, so a mismatch would abort with a bound violation.
+The measure should follow (1 - p**k)**(t+1) exactly; every row's survivors
+are a cube cover whose measure is counted and compared with it, so a
+mismatch would abort with a bound violation.
 """
 
 import argparse
@@ -22,9 +23,10 @@ def main() -> int:
     print("t,length,survivors,measure,measure_float")
     for t in range(args.stages):
         cert = kurtz_stage_set(target, args.k, t)
-        length = cert.words[0].length if cert.words else 0
+        p = cert.parameters
+        length = p["k"] * p["times"][-1] + p["granularity"]
         print(
-            f"{t},{length},{len(cert.words)},{cert.exact_measure},"
+            f"{t},{length},{cert.cover.word_count},{cert.exact_measure},"
             f"{cert.exact_measure.as_float()!r}"
         )
     return 0

@@ -4,9 +4,9 @@ A certificate packages one enumerated test component: the words (or the
 shell words of grid samples) it has produced, the exact measure of the open
 set they generate, and the bound the construction promises.  A certificate
 whose measure exceeds its bound indicates a construction bug, never a
-legitimate run.  A level set that stands for more than ``CUBE_WORDS``
-words is held and written as its disjoint ``0/1/*`` cube cover instead of
-its words.
+legitimate run.  A survivor, error or level set that stands for more than
+``CUBE_WORDS`` words is held and written as its disjoint ``0/1/*`` cube
+cover instead of its words.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class TestCertificate:
 
     kind: str
     parameters: dict[str, Any]
-    # Words, or above CUBE_WORDS a level's CubeSet; a grid certificate holds
-    # the shell words of its cube samples.  len() counts words either way.
+    # Words, or above CUBE_WORDS a CubeSet; a grid certificate holds the
+    # shell words of its cube samples.
     words: tuple | CubeSet
     exact_measure: Dyadic
     required_bound: Dyadic
@@ -50,6 +50,11 @@ class TestCertificate:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown certificate kind: {self.kind!r}")
+
+    @property
+    def cover(self) -> CubeSet:
+        """The words or cubes as a cube cover; its ``word_count`` is exact at any size."""
+        return self.words if isinstance(self.words, CubeSet) else CubeSet.from_words(self.words)
 
     @property
     def passes(self) -> bool:
@@ -120,7 +125,7 @@ def new_certificate(
     """Build a certificate, refusing to emit one that violates its bound.
 
     A cover of at most ``CUBE_WORDS`` words is expanded to its words."""
-    if isinstance(words, CubeSet) and len(words) <= CUBE_WORDS:
+    if isinstance(words, CubeSet) and words.word_count <= CUBE_WORDS:
         words = words.expand(CUBE_WORDS)
     if not isinstance(words, CubeSet):
         words = sorted_words(words)

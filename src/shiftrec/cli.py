@@ -21,15 +21,7 @@ from .certificates import (
     verify_certificate,
 )
 from .dyadic import Dyadic
-from .errors import (
-    BoundViolationError,
-    BudgetExceededError,
-    DepthExhaustedError,
-    InapplicableBoundError,
-    InsufficientDataError,
-    NoCertificateError,
-    PrecisionError,
-)
+from .errors import BoundViolationError, ShiftrecError
 from .kurtz import kurtz_capture, kurtz_stage_set
 from .measure import ClopenSet, StagedCoEnumeration, keyword_number, stage_tokens
 from .mltest import ml_escape_level, ml_run
@@ -55,17 +47,8 @@ from .rotation import (
     verify_return,
 )
 
-_USAGE_ERRORS = (
-    ValueError,
-    OSError,
-    KeyError,
-    InsufficientDataError,
-    NoCertificateError,
-    BudgetExceededError,
-    DepthExhaustedError,
-    PrecisionError,
-    InapplicableBoundError,
-)
+# every package error but a violated bound (caught first) is a usage or data error
+_USAGE_ERRORS = (ValueError, OSError, KeyError, ShiftrecError)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,7 +69,7 @@ def _cert_csv(certs: list[TestCertificate]) -> str:
     for c in certs:
         label = ";".join(f"{k}={fmt(v)}" for k, v in sorted(c.parameters.items()))
         rows.append(
-            f"{c.kind},{label},{len(c.words)},{c.exact_measure},{c.required_bound},"
+            f"{c.kind},{label},{c.cover.word_count},{c.exact_measure},{c.required_bound},"
             f"{str(c.passes).lower()}"
         )
     return "\n".join(rows) + "\n"

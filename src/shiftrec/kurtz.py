@@ -3,10 +3,10 @@
 With block spacing ``n_t = n0 * (k+1)**t`` the bit windows examined at all
 stages are pairwise disjoint, so the survivor measure after stages
 ``0..t`` is exactly ``(1 - p**k)**(t+1)`` where ``p`` is the target
-measure.  The certificate nevertheless counts the survivors over every
-assignment of the examined bits, so the identity is checked rather than
-assumed.  The same loop counts grid survivors, whose blocks are the
-scattered shell positions of moved sub-cubes.
+measure.  The survivors are a ``0/1/*`` cube cover, the full cube sharped
+by the cubes that put every block of a stage in the target; it is checked
+to be disjoint and its measure counted, so the identity is checked rather
+than assumed.  Grid survivors use the same cover on shell positions.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitseq import SequenceSource, Word
-from .certificates import TestCertificate, new_certificate
+from .bitseq import SequenceSource
+from .certificates import OVERLAP_STEPS, TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError, BudgetExceededError
-from .measure import ClopenSet, free_bit_values
+from .measure import COVER_BITS, ClopenSet, CubeSet, sharp_cover
 from .recurrence import is_witness
-
-# At most this many words of the bounding length, for word and grid survivor sets alike.
-_ENUMERATION_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -47,59 +44,63 @@ class KurtzSchedule:
         return all(a.stop <= b.start for a, b in zip(spans, spans[1:]))
 
 
-def _runs(block: Sequence[int], length: int) -> list[tuple[int, int, int]]:
-    """``(shift, mask, place)`` per maximal run of consecutive positions in ``block``:
-    ``((word >> shift) & mask) << place`` is the run's share of the block's value."""
-    runs, start = [], 0
-    for j in range(1, len(block) + 1):
-        if j == len(block) or block[j] != block[j - 1] + 1:
-            runs.append((length - 1 - block[j - 1], (1 << (j - start)) - 1, len(block) - j))
-            start = j
-    return runs
+def _word_cubes(values: set[int], bits: int) -> list[tuple[int, int]]:
+    """Disjoint ``(care, value)`` cubes over ``bits`` bits matching exactly
+    the words with these values: split on the last bit, a full half is one
+    cube and a cube both halves hold is kept once with that bit free."""
+    if len(values) in (0, 1 << bits):
+        return [(0, 0)] if values else []
+    halves = [_word_cubes({v >> 1 for v in values if v & 1 == b}, bits - 1) for b in (0, 1)]
+    both = set(halves[0]) & set(halves[1])
+    return [(care << 1, value << 1) for care, value in halves[0] if (care, value) in both] + [
+        (care << 1 | 1, value << 1 | b)
+        for b, half in enumerate(halves)
+        for care, value in half
+        if (care, value) not in both
+    ]
 
 
-def _block_value(value: int, runs: list[tuple[int, int, int]]) -> int:
-    """The bits a block reads from the word ``value``, in block order."""
-    out = 0
-    for shift, mask, place in runs:
-        out |= ((value >> shift) & mask) << place
-    return out
+def _scatter(cube: tuple, block: Sequence[int], length: int) -> tuple[int, int]:
+    """``(care, value)`` over ``length`` bits of a target cube read by ``block``."""
+    g, care, value = cube
+    bits = [(1 << (length - 1 - p), 1 << (g - 1 - i)) for i, p in enumerate(block)]
+    return sum(w for w, b in bits if care & b), sum(w for w, b in bits if value & b)
 
 
-def _survivor_values(
-    length: int,
-    stages: Iterable[Iterable[Sequence[int]]],
-    members: Iterable[int],
-    formula: Dyadic,
-) -> list[int]:
-    """Values of the length-``length`` words that survive every stage.
+def survivor_cover(
+    length: int, stages: Iterable[Iterable[Sequence[int]]], target: ClopenSet, formula: Dyadic
+) -> CubeSet:
+    """The length-``length`` words that survive every stage, as a cube cover.
 
     A stage lists its blocks, each as the bit positions it reads, in block
-    order.  A word survives a stage when the bits of at least one block,
-    read in that order, are not a member value.  The survivors among all
-    assignments of the read bits are counted, and their measure must equal
-    ``formula``; survival reads no other bit, so those bits are free.
-    ``stages`` is read only once the budget admits all ``2**length`` words.
+    order; a word survives it when some block does not read a target word.
+    Each choice of one target cube per block, unless overlapping blocks
+    disagree, is a cube the stage catches; the full cube is sharped by them
+    all.  The cover must be disjoint with measure ``formula``.  Raises
+    BudgetExceededError before the choices, or the cubes the sharp visits,
+    exceed ``COVER_BITS`` bits; ``stages`` is read only until then.
     """
-    if (1 << length) > _ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"stage set needs all 2^{length} configurations, beyond the budget of "
-            f"{_ENUMERATION_BUDGET}"
-        )
-    stage_blocks = [list(blocks) for blocks in stages]
-    read = {p for blocks in stage_blocks for block in blocks for p in block}
-    member_set = set(members)
-    kept = free_bit_values(length, read)
-    for blocks in stage_blocks:
-        runs = [_runs(block, length) for block in blocks]
-        kept = [v for v in kept if not all(_block_value(v, r) in member_set for r in runs)]
-    exact = Dyadic(len(kept), len(read))
-    if exact != formula:
+    budget = COVER_BITS // length
+    g = target.granularity
+    cubes = [(g, *cube) for cube in _word_cubes({w.value for w in target.words}, g)]
+    caught: list[tuple] = []
+    for blocks in stages:
+        choices = [(0, 0)]
+        for block in blocks:
+            if len(caught) + len(choices) * len(cubes) > budget:
+                raise BudgetExceededError(f"stage cubes of {length} bits exceed {COVER_BITS} bits")
+            scattered = [_scatter(cube, block, length) for cube in cubes]
+            choices = [(care | c, value | v) for care, value in choices for c, v in scattered
+                       if not care & c & (value ^ v)]
+        caught += [(length, care, value) for care, value in choices]
+    cover = CubeSet(sharp_cover([(length, 0, 0)], caught, budget))
+    overlap = cover.overlap(OVERLAP_STEPS)  # as verify checks it
+    if overlap is not None or cover.measure() != formula:
         raise BoundViolationError(
-            f"survivor measure {exact} differs from the product formula {formula}"
+            f"survivor cover (overlapping cubes: {overlap}) has measure {cover.measure()}, "
+            f"not the product formula {formula}"
         )
-    unread = free_bit_values(length, (p for p in range(length) if p not in read))
-    return [v | u for v in kept for u in unread]
+    return cover
 
 
 def kurtz_stage_set(target: ClopenSet, k: int, t: int) -> TestCertificate:
@@ -107,7 +108,7 @@ def kurtz_stage_set(target: ClopenSet, k: int, t: int) -> TestCertificate:
 
     A word survives a stage when at least one of its k examined blocks lies
     outside the target.  The certificate is an equality certificate: the
-    enumerated measure must equal ``(1 - p**k)**(t+1)``.
+    cover's measure must equal ``(1 - p**k)**(t+1)``.
     """
     if k < 1 or t < 0:
         raise ValueError("k must be positive and t nonnegative")
@@ -120,7 +121,7 @@ def kurtz_stage_set(target: ClopenSet, k: int, t: int) -> TestCertificate:
         )
     stages = [schedule.blocks(u) for u in range(t + 1)]
     formula = (D_ONE - target.measure() ** k) ** (t + 1)
-    values = _survivor_values(length, stages, (w.value for w in target.words), formula)
+    cover = survivor_cover(length, stages, target, formula)
     return new_certificate(
         kind="kurtz-stage",
         parameters={
@@ -129,8 +130,8 @@ def kurtz_stage_set(target: ClopenSet, k: int, t: int) -> TestCertificate:
             "granularity": target.granularity,
             "times": [schedule.time(u) for u in range(t + 1)],
         },
-        words=(Word(v, length) for v in values),
-        exact_measure=formula,  # the survivor count equals it
+        words=cover,
+        exact_measure=formula,  # the survivor measure equals it
         required_bound=formula,
         stage_budget=t,
     )

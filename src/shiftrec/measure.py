@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
@@ -43,16 +43,6 @@ def uncovered(
     for shorter, prefixes in table.items():
         if shorter <= length and values:
             values = [v for v in values if v >> (length - shorter) not in prefixes]
-    return values
-
-
-def free_bit_values(length: int, positions: Iterable[int]) -> list[int]:
-    """Values, ascending, of every length-``length`` word that is zero outside
-    ``positions`` (distinct bit positions, 0 the first bit)."""
-    values = [0]
-    for p in sorted(positions, reverse=True):
-        bit = 1 << (length - 1 - p)
-        values += [v | bit for v in values]
     return values
 
 
@@ -150,30 +140,10 @@ Cube = tuple[int, int, int]
 
 def sharp(a: Cube, b: Cube) -> list[Cube]:
     """``a # b``: pairwise disjoint cubes of ``a``'s length covering exactly
-    the words of ``a`` outside the cylinder of ``b``, which is no longer.
-
-    Each bit that ``b`` cares about and ``a`` leaves free gives one cube that
-    agrees with ``b`` on the earlier such bits and differs from it at this
-    one (Brayton et al., *Logic Minimization Algorithms for VLSI Synthesis*,
-    1984).
-    """
-    n, care, value = a
-    m, b_care, b_value = b
-    if m > n:
-        raise ValueError(f"cannot sharp a length-{n} cube by a length-{m} cube")
-    b_care <<= n - m
-    b_value <<= n - m
-    if care & b_care & (value ^ b_value):
-        return [a]  # already disjoint
-    pieces = []
-    free = b_care & ~care
-    while free:
-        bit = free & -free
-        pieces.append((n, care | bit, value | (bit & ~b_value)))
-        care |= bit
-        value |= bit & b_value
-        free ^= bit
-    return pieces
+    the words of ``a`` outside the cylinder of ``b``, which is no longer."""
+    if b[0] > a[0]:
+        raise ValueError(f"cannot sharp a length-{a[0]} cube by a length-{b[0]} cube")
+    return sharp_cover([a], [b])
 
 
 def _leaves(cubes: list, removed: list, length: int, budget: int | None = None) -> Iterator:
@@ -220,27 +190,71 @@ def _leaves(cubes: list, removed: list, length: int, budget: int | None = None) 
         yield care, value, [big, *(cube for cube in group if cube is not big)], others
 
 
-def sharp_cover(cubes: Iterable[Cube], removed: Iterable[Cube]) -> list[Cube]:
+def sharp_cover(
+    cubes: Iterable[Cube], removed: Iterable[Cube], budget: int | None = None
+) -> list[Cube]:
     """The words matched by some of ``cubes``, all of one length, and in no
     cylinder of ``removed``, whose cubes are no longer: as pairwise disjoint
     cubes of that length.
 
     The cubes are split on their bits (see :func:`_leaves`) until each
     group is contained in one of its members, and that member, fixed on the
-    split bits, is sharped by the removed cubes that agree with them.
+    split bits, is sharped by the removed cubes that agree with them, one
+    at a time.  Each piece carries on only the removed cubes that meet it,
+    so a removed cube that misses a piece costs nothing below it.  Raises
+    BudgetExceededError once splitting, or sharping, visits more than
+    ``budget`` cubes; sharping visits each piece and the removed cubes that
+    meet it.
     """
     cubes = list(cubes)
     if not cubes:
         return []
     n = cubes[0][0]
     padded = [(care << (n - m), value << (n - m)) for m, care, value in removed]
-    pieces = []
-    for care, value, group, others in _leaves([c[1:] for c in cubes], padded, n):
-        parts = [(n, group[0][0] | care, group[0][1] | value)]
-        for o_care, o_value in others:
-            parts = [q for p in parts for q in sharp(p, (n, o_care, o_value))]
-        pieces += parts
+    pieces, visits = [], 0
+    for care, value, group, others in _leaves([c[1:] for c in cubes], padded, n, budget):
+        care, value = group[0][0] | care, group[0][1] | value
+        parts = [(care, value, [o for o in others if not care & o[0] & (value ^ o[1])])]
+        while parts:
+            care, value, others = parts.pop()
+            visits += 1 + len(others)
+            if budget is not None and visits > budget:
+                raise BudgetExceededError(f"a sharp visits over {budget} cubes of {n} bits")
+            if not others:
+                pieces.append((n, care, value))
+                continue
+            (b_care, b_value), *others = others
+            # part # b: a piece per bit b fixes and the part leaves free (Brayton
+            # et al., *Logic Minimization Algorithms for VLSI Synthesis*, 1984),
+            # agreeing with b before it; popped in order, as one sharp at a time
+            kids, free = [], b_care & ~care
+            while free:
+                bit = free & -free
+                meet = [o for o in others if not o[0] & bit or (o[1] ^ b_value) & bit]
+                kids.append((care | bit, value | (bit & ~b_value), meet))
+                care, value, free = care | bit, value | (bit & b_value), free ^ bit
+                others = [o for o in others if not o[0] & bit or not (o[1] ^ b_value) & bit]
+            parts += reversed(kids)
     return pieces
+
+
+# Most bits the sharps that build a survivor or error cover may visit, counted
+# as cubes times their length; the cover, each of whose cubes is visited, holds
+# no more.
+COVER_BITS = 1 << 24
+
+
+def union_cover(cubes: Iterable[Cube]) -> list[Cube]:
+    """The union of the cylinders of ``cubes`` as pairwise disjoint cubes.
+
+    Shortest first, each length's cubes are sharped by the cubes kept so
+    far.  Raises BudgetExceededError once a sharp visits more cubes than
+    the ``COVER_BITS`` left over by the cover so far allow.
+    """
+    kept: list[Cube] = []
+    for n, bucket in groupby(sorted(cubes), itemgetter(0)):
+        kept += sharp_cover(bucket, kept, (COVER_BITS - sum(m for m, _, _ in kept)) // max(n, 1))
+    return kept
 
 
 def _cube_text(cube: Cube) -> str:
@@ -268,8 +282,8 @@ class CubeSet:
     A cube stands for the words of its length that it matches, and for the
     union of their cylinders: a shorter cube is padded with free bits.  The
     cover's padded cubes must be pairwise disjoint; the constructor trusts
-    its caller, and :meth:`overlap` checks.  ``len()`` is the number of
-    words the cover stands for, counted without expanding it.
+    its caller, and :meth:`overlap` checks.  :attr:`word_count` is the
+    number of words the cover stands for, counted without expanding it.
     """
 
     __slots__ = ("cubes",)
@@ -298,8 +312,13 @@ class CubeSet:
         top = max(care.bit_count() for _, care, _ in self.cubes)
         return Dyadic(sum(1 << (top - care.bit_count()) for _, care, _ in self.cubes), top)
 
-    def __len__(self) -> int:
+    @property
+    def word_count(self) -> int:
+        """The number of words the cover stands for, an int of any size."""
         return sum(1 << (n - care.bit_count()) for n, care, _ in self.cubes)
+
+    def __len__(self) -> int:  # raises OverflowError past sys.maxsize
+        return self.word_count
 
     def __bool__(self) -> bool:
         return bool(self.cubes)
@@ -313,13 +332,15 @@ class CubeSet:
 
     def expand(self, budget: int) -> list[Word]:
         """The words the cover stands for; raises when there are more than ``budget``."""
-        if len(self) > budget:
-            raise BudgetExceededError(f"a cover of {len(self)} words exceeds {budget} words")
-        return [
-            Word(value | f, n)
-            for n, care, value in self.cubes
-            for f in free_bit_values(n, (p for p in range(n) if not care >> (n - 1 - p) & 1))
-        ]
+        if self.word_count > budget:
+            raise BudgetExceededError(f"a cover of {self.word_count} words exceeds {budget} words")
+        words = []
+        for n, care, value in self.cubes:
+            values = [value]
+            for free in (1 << p for p in range(n) if not care >> p & 1):
+                values += [v | free for v in values]
+            words += (Word(v, n) for v in values)
+        return words
 
     def overlap(self, budget: int) -> tuple[str, str] | None:
         """Two cubes whose padded cylinders meet, or None when the cover is

@@ -59,7 +59,11 @@ _LEVEL_CAP = 64
 
 
 class MLConstruction:
-    """Stagewise enumeration of the level sets for one complement and k."""
+    """Stagewise enumeration of the level sets for one complement and k.
+
+    ``candidate_budget`` caps the child cubes and sharp pieces of a level;
+    the escape sets and refined levels still use it to cap a level's words.
+    """
 
     def __init__(
         self,
@@ -106,11 +110,10 @@ class MLConstruction:
         groups: defaultdict[int, list] = defaultdict(list)
         for cube in parents.cubes:
             groups[cube[0]].append(cube)
-        group_words = {n: len(CubeSet(group)) for n, group in groups.items()}
         # A child lies in its parent's cylinder and the parents are disjoint,
         # so a child can meet only the cubes entered below its own parent.
         entered: dict[tuple, list] = {cube: [] for cube in parents.cubes}
-        generated = 0  # candidate words
+        generated = 0  # child cubes built and pieces kept
         for t in range(1, self.stage_max + 1):
             length = t**self.coenum.dimension
             for n, group in sorted(groups.items()):
@@ -134,11 +137,6 @@ class MLConstruction:
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        generated += group_words[n] << (pad - tau.length)
-                        if generated > self.candidate_budget:
-                            raise BudgetExceededError(
-                                f"level enumeration exceeded {self.candidate_budget} candidates"
-                            )
                         at = self._tau_positions(s, i, t, tau)
                         care = sum(1 << (length - 1 - p) for p in at)
                         if care >> pad:
@@ -156,7 +154,11 @@ class MLConstruction:
                         (length, p_care << pad | care, p_value << pad | fixed)
                         for care, fixed in blocks
                     ]
-                    entered[parent] += sharp_cover(children, entered[parent])
+                    pieces = sharp_cover(children, entered[parent])
+                    generated += len(children) + len(pieces)
+                    if generated > self.candidate_budget:
+                        raise BudgetExceededError(f"level exceeded {self.candidate_budget} cubes")
+                    entered[parent] += pieces
         return CubeSet(chain.from_iterable(entered.values()))
 
     def levels_until_empty(self) -> int:

@@ -35,7 +35,7 @@ from .bitseq import (
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, Dyadic
 from .errors import InsufficientDataError
-from .kurtz import _survivor_values
+from .kurtz import survivor_cover
 from .measure import ClopenSet, StagedCoEnumeration, is_prefix_free, measure_open
 from .mltest import MLConstruction
 
@@ -52,35 +52,33 @@ def _shell_cells(dimension: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(product(range(size), repeat=dimension), key=lambda v: (max(v), v)))
 
 
-@cache
-def _shell_rank(dimension: int, size: int) -> tuple[int, ...]:
-    """Shell position of each cell of the size-n cube, in row-major order."""
-    index = {v: p for p, v in enumerate(_shell_cells(dimension, size))}
-    return tuple(index[v] for v in product(range(size), repeat=dimension))
+def _shell_position(cell: Sequence[int]) -> int:
+    """Shell position of a cell, the same in every cube that holds it: the
+    ``m**k`` cells of largest coordinate below ``m = max(cell)`` come first,
+    then the cells of largest coordinate ``m`` that precede it row-major."""
+    m, k = max(cell, default=0), len(cell)
+    position, has_m = m**k, False
+    for j, c in enumerate(cell):
+        # cells that first differ here, by a smaller coordinate, and reach m
+        position += c * ((m + 1) ** (k - j - 1) - (0 if has_m else m ** (k - j - 1)))
+        has_m = has_m or c == m
+    return position
 
 
 @cache
-def _shifted_block(
-    dimension: int, size: int, block: int, axis: int, offset: int
-) -> tuple[int, ...]:
-    """Shell positions, in the size-n cube, of the size-b sub-cube moved
-    ``offset`` cells along ``axis``, listed in the sub-cube's shell order."""
-    index = {v: p for p, v in enumerate(_shell_cells(dimension, size))}
-    moved = []
-    for u in _shell_cells(dimension, block):
-        v = list(u)
-        v[axis] += offset
-        moved.append(index[tuple(v)])
-    return tuple(moved)
+def _shifted_block(dimension: int, block: int, axis: int, offset: int) -> tuple[int, ...]:
+    """Shell positions of the size-b sub-cube moved ``offset`` cells along
+    ``axis``, listed in the sub-cube's shell order."""
+    shift = [offset * (a == axis) for a in range(dimension)]
+    cells = _shell_cells(dimension, block)
+    return tuple(_shell_position([c + d for c, d in zip(u, shift)]) for u in cells)
 
 
 @cache
 def _shell_order(dimension: int, size: int) -> tuple[int, ...]:
     """Row-major index of each cell of the size-n cube, in shell order."""
-    order = [0] * size**dimension
-    for r, p in enumerate(_shell_rank(dimension, size)):
-        order[p] = r
-    return tuple(order)
+    cells = _shell_cells(dimension, size)
+    return tuple(sum(c * size**e for e, c in enumerate(reversed(v))) for v in cells)
 
 
 def _cube_side(cells: int, dimension: int) -> int:
@@ -171,8 +169,10 @@ class ArraySample:
     def from_word(cls, dimension: int, word: Word) -> "ArraySample":
         """The sample whose shell word is ``word``; inverse of :meth:`word`."""
         size = _cube_side(word.length, dimension)
-        bits = word.bits()
-        return cls(dimension, size, tuple(bits[p] for p in _shell_rank(dimension, size)))
+        bits = [0] * word.length
+        for b, p in zip(word.bits(), _shell_order(dimension, size)):
+            bits[p] = b
+        return cls(dimension, size, tuple(bits))
 
     def word(self) -> Word:
         """The bits in shell order; restricting to size m takes the first m**k."""
@@ -367,9 +367,9 @@ def grid_kurtz_stage_set(target: ClopenSet, dimension: int, r: int) -> TestCerti
     """Grid survivors through stages 1..r, shift amount ``r' * n1`` at stage r'.
 
     The target is a clopen set of the shell words of size-n1 cubes.  The
-    examined blocks are pairwise disjoint cells, so the survivor count
-    must reproduce ``(1 - p**k)**r`` exactly; the construction still counts
-    rather than assumes, and refuses to emit a violating certificate.
+    examined blocks are pairwise disjoint cells, so the survivor cover must
+    measure ``(1 - p**k)**r`` exactly; the construction still counts rather
+    than assumes, and refuses to emit a violating certificate.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -378,14 +378,14 @@ def grid_kurtz_stage_set(target: ClopenSet, dimension: int, r: int) -> TestCerti
     bound_size = (r + 1) * n1
     total = bound_size**k
     formula = (D_ONE - target.measure() ** k) ** r
-    survivors = _survivor_values(
+    cover = survivor_cover(
         total,
-        # per stage and face, the moved block's shell positions, built once the budget allows
+        # per stage and face, the moved block's shell positions, read while the budget allows
         (
-            (_shifted_block(k, bound_size, n1, axis, stage * n1) for axis in range(k))
+            (_shifted_block(k, n1, axis, stage * n1) for axis in range(k))
             for stage in range(1, r + 1)
         ),
-        (w.value for w in target.words),
+        target,
         formula,
     )
     return new_certificate(
@@ -397,8 +397,8 @@ def grid_kurtz_stage_set(target: ClopenSet, dimension: int, r: int) -> TestCerti
             "shifts": [stage * n1 for stage in range(1, r + 1)],
             "product_exact": True,
         },
-        words=(Word(v, total) for v in survivors),
-        exact_measure=formula,  # the survivor count equals it
+        words=cover,
+        exact_measure=formula,  # the survivor measure equals it
         required_bound=formula,
         stage_budget=r,
     )
@@ -427,7 +427,7 @@ class GridMLConstruction(MLConstruction):
         return s
 
     def _tau_positions(self, s: int, i: int, t: int, tau: Word) -> tuple[int, ...]:
-        return _shifted_block(self.k, t, _cube_side(tau.length, self.k), i - 1, s)
+        return _shifted_block(self.k, _cube_side(tau.length, self.k), i - 1, s)
 
     def level_certificate(self, r: int) -> TestCertificate:
         return self._level_certificate(r, {"dimension": self.k})

@@ -2,22 +2,19 @@
 
 The schedule grows geometrically while pushing the not-yet-enumerated tail
 of the complement below ``2**-(t+v+k)``; the stage-t error set collects the
-sequences whose examined blocks land in that tail.  Stage bounds sum to at
-most ``2**-v``, which is what makes the family a level-v test component.
+sequences whose examined blocks land in that tail, as a disjoint cover of the
+cubes ``*^(i*n_t) sigma``.  Stage bounds sum to at most ``2**-v``, which is
+what makes the family a level-v test component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitseq import Word
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ZERO, Dyadic, half_power
-from .errors import BoundViolationError, BudgetExceededError, NoCertificateError
-from .measure import StagedCoEnumeration, measure_open, prefix_reduce
-
-# Most words an error set may materialize before prefix reduction.
-_WORD_BUDGET = 1 << 22
+from .errors import BoundViolationError, NoCertificateError
+from .measure import CubeSet, StagedCoEnumeration, union_cover
 
 
 @dataclass(frozen=True)
@@ -69,39 +66,23 @@ def schnorr_error_set(
     """Certificate for the stage-t error set.
 
     A sequence errs at stage t when some block at offset ``i * n_t`` extends
-    a complement word enumerated after stage ``n_t``.  Words are stored in
-    prefix-reduced form; the measure is exact and must stay at or below
-    ``k * 2**-(t+v+k)``.
+    a complement word enumerated after stage ``n_t``.  The cover's measure
+    is exact and must stay at or below ``k * 2**-(t+v+k)``.
     """
     if not 1 <= t <= schedule.t_max:
         raise ValueError(f"stage {t} outside the schedule (1..{schedule.t_max})")
     if (k, v) != (schedule.k, schedule.v):
         raise ValueError("schedule was built for different parameters")
     nt = schedule.time(t)
-    late = coenum.late_words(nt)
-    bound = Dyadic(k, t + v + k)
+    # a late sigma at block offset i * n_t, any bits before it
+    cubes = [
+        (i * nt + sigma.length, (1 << sigma.length) - 1, sigma.value)
+        for i in range(1, k + 1)
+        for sigma in coenum.late_words(nt)
+    ]
+    cover, bound = CubeSet(union_cover(cubes)), Dyadic(k, t + v + k)
     params = {"k": k, "v": v, "t": t, "n_t": nt}
-    if not late:
-        return new_certificate(
-            "schnorr-error", params, (), D_ZERO, bound, stage_budget=nt
-        )
-    total = sum((1 << (i * nt)) * len(late) for i in range(1, k + 1))
-    if total > _WORD_BUDGET:
-        raise BudgetExceededError(
-            f"error set would materialize {total} words, beyond {_WORD_BUDGET}"
-        )
-    words: set[Word] = set()
-    for i in range(1, k + 1):
-        offset = i * nt
-        for sigma in late:
-            for head in range(1 << offset):
-                words.add(
-                    Word((head << sigma.length) | sigma.value, offset + sigma.length)
-                )
-    reduced = prefix_reduce(words)
-    return new_certificate(
-        "schnorr-error", params, reduced, measure_open(reduced), bound, stage_budget=nt
-    )
+    return new_certificate("schnorr-error", params, cover, cover.measure(), bound, nt)
 
 
 def schnorr_union_bound(certs: list[TestCertificate]) -> Dyadic:
@@ -112,7 +93,7 @@ def schnorr_union_bound(certs: list[TestCertificate]) -> Dyadic:
     if len(vs) > 1:
         raise ValueError(f"certificates mix test levels: {sorted(vs)}")
     v = vs.pop()
-    union = measure_open(w for c in certs for w in c.words)
+    union = CubeSet(union_cover(cube for c in certs for cube in c.cover.cubes)).measure()
     budget = sum((c.required_bound for c in certs), D_ZERO)
     level_bound = half_power(v)
     if union > budget or union > level_bound:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -701,38 +702,75 @@ ml-Cr,dimension=2;q=1/2^3;r=0,1,1/2^0,1/2^0,true
 ml-Cr,dimension=2;q=1/2^3;r=1,1,1/2^4,1/2^3,true
 ml-Cr,dimension=2;q=1/2^3;r=2,253952,31/2^12,1/2^6,true
 """
+KURTZ_CLOPEN_CSV = """kind,label,word_count,exact_measure,required_bound,pass
+kurtz-stage,granularity=1;k=2;t=0;times=1,6,3/2^2,3/2^2,true
+kurtz-stage,granularity=1;k=2;t=1;times=1+3,72,9/2^4,9/2^4,true
+kurtz-stage,granularity=1;k=2;t=2;times=1+3+9,221184,27/2^6,27/2^6,true
+"""
+GRID_KURTZ_CSV = """kind,label,word_count,exact_measure,required_bound,pass
+kurtz-stage,dimension=2;n1=1;product_exact=True;r=1;shifts=1,12,3/2^2,3/2^2,true
+kurtz-stage,dimension=2;n1=1;product_exact=True;r=2;shifts=1+2,288,9/2^4,9/2^4,true
+kurtz-stage,dimension=2;n1=1;product_exact=True;r=3;shifts=1+2+3,27648,27/2^6,27/2^6,true
+"""
+SCHNORR_S_CSV = """kind,label,word_count,exact_measure,required_bound,pass
+schnorr-error,k=1;n_t=2;t=1;v=0,4,1/2^22,1/2^2,true
+schnorr-error,k=1;n_t=4;t=2;v=0,16,1/2^22,1/2^3,true
+schnorr-error,k=1;n_t=8;t=3;v=0,256,1/2^22,1/2^4,true
+schnorr-error,k=1;n_t=16;t=4;v=0,65536,1/2^22,1/2^5,true
+"""
 
 
 @pytest.fixture(scope="module")
 def cube_runs(tmp_path_factory):
-    """argv of a 1-D and a grid level run whose last level is written as cubes."""
+    """argv of level, survivor and error-set runs whose last set is written as cubes."""
     d = tmp_path_factory.mktemp("cubes")
     (d / "M.txt").write_text("stage 2: 11\nstage 5: 00000\n")
     (d / "Bg.txt").write_text("dimension 2\nstage 2: 1011\n")
+    (d / "S.txt").write_text("stage 2: 11\nstage 22: 0110100110010110011010\n")
     return {
         "ml-direct": ("mltest", "--class-file", str(d / "M.txt"), "--k", "2", "--r", "4",
                       "--stage-max", "22"),
         "grid-ml": ("grid", "--op", "ml", "--class-file", str(d / "Bg.txt"), "--r", "2",
                     "--stage-max", "6"),
+        "kurtz-clopen": ("kurtz", "--clopen", "1", "--k", "2", "--t-max", "3"),
+        "grid-kurtz": ("grid", "--op", "kurtz", "--target-bits", "1", "--r", "3"),
+        "schnorr-s": ("schnorr", "--class-file", str(d / "S.txt"), "--k", "1", "--v", "0",
+                      "--t-max", "4"),
     }
 
 
-@pytest.mark.parametrize("job, csv", [("ml-direct", ML_DIRECT_CSV), ("grid-ml", GRID_ML_CSV)])
+@pytest.mark.parametrize(
+    "job, csv",
+    [
+        ("ml-direct", ML_DIRECT_CSV),
+        ("grid-ml", GRID_ML_CSV),
+        ("kurtz-clopen", KURTZ_CLOPEN_CSV),
+        ("grid-kurtz", GRID_KURTZ_CSV),
+        ("schnorr-s", SCHNORR_S_CSV),
+    ],
+)
 def test_cube_levels_csv_counts_words(cube_runs, job, csv, capsys):
     """CSV word counts are the number of words a cover stands for."""
     assert run_cli(capsys, *cube_runs[job], "--format", "csv") == (0, csv)
 
 
-@pytest.mark.parametrize("job, cubes", [("ml-direct", 40), ("grid-ml", 5)])
+# the one certificate of each run that is written as cubes
+_CUBE_INDEX = {"ml-direct": 3, "grid-ml": 2, "kurtz-clopen": 2, "grid-kurtz": 2, "schnorr-s": 3}
+
+
+@pytest.mark.parametrize(
+    "job, cubes",
+    [("ml-direct", 40), ("grid-ml", 5), ("kurtz-clopen", 8), ("grid-kurtz", 8), ("schnorr-s", 1)],
+)
 def test_cube_certificate_roundtrip_and_verify(cube_runs, job, cubes, tmp_path, capsys):
     path = tmp_path / "out.json"
     assert main([*cube_runs[job], "--out", str(path)]) == 0
     text = path.read_text()
     data = json.loads(text)
     encodings = [("cubes" in c, "words" in c) for c in data["certificates"]]
-    assert encodings[-1 if job == "grid-ml" else 3] == (True, False)
+    assert encodings[_CUBE_INDEX[job]] == (True, False)
     assert sum(cube for cube, _ in encodings) == 1
-    assert len(data["certificates"][-1 if job == "grid-ml" else 3]["cubes"]) == cubes
+    assert len(data["certificates"][_CUBE_INDEX[job]]["cubes"]) == cubes
     # reading and writing again gives the same bytes
     data["certificates"] = [c.to_json_dict() for c in certificates_from_json(text)]
     assert json_text(data) == text
@@ -749,6 +787,13 @@ def _split_first_star_pair(cubes):
     half_i = text[:i] + "0" + text[i + 1 :]
     half_j = text[:j] + "0" + text[j + 1 :]
     return [c for c in cubes if c != text] + [half_i, half_j]
+
+
+def _cut_to_one_cube(cert):
+    """Keep the first cube and restate its measure."""
+    kept = cert["cubes"][:1]
+    fixed = len(kept[0]) - kept[0].count("*")
+    cert.update(cubes=kept, exact_measure=f"1/2^{fixed}")
 
 
 def _cube_certificate(tmp_path, argv, edit):
@@ -771,8 +816,19 @@ def _cube_certificate(tmp_path, argv, edit):
         ("ml-direct", lambda c: c.update(cubes=[t + "*" for t in c["cubes"]]),
          "longer than the stage budget"),
         ("grid-ml", lambda c: c.update(required_bound="1/2^0"), "the bound its parameters give"),
+        ("kurtz-clopen", lambda c: c.update(cubes=_split_first_star_pair(c["cubes"])), "overlap"),
+        # a cut cover with its measure restated no longer equals the product formula
+        ("kurtz-clopen", _cut_to_one_cube, "that a kurtz-stage certificate must equal"),
+        ("grid-kurtz", lambda c: c.update(cubes=_split_first_star_pair(c["cubes"])), "overlap"),
+        ("grid-kurtz", lambda c: c.update(exact_measure="1/2^1"), "differs from recomputed"),
+        ("schnorr-s", lambda c: c.update(cubes=_split_first_star_pair(c["cubes"])), "overlap"),
+        ("schnorr-s", lambda c: c.update(required_bound="1/2^0"), "the bound its parameters give"),
     ],
-    ids=["overlap-1d", "overlap-grid", "measure", "too-long", "loosened-bound"],
+    ids=[
+        "overlap-1d", "overlap-grid", "measure", "too-long", "loosened-bound",
+        "kurtz-overlap", "kurtz-cut", "grid-kurtz-overlap", "grid-kurtz-measure",
+        "schnorr-overlap", "schnorr-loosened-bound",
+    ],
 )
 def test_verify_rejects_altered_cubes(cube_runs, job, edit, problem, tmp_path, capsys):
     path = _cube_certificate(tmp_path, cube_runs[job], edit)
@@ -822,3 +878,41 @@ def test_verify_overlap_check_has_a_budget(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps({"certificates": [cert]}))
     assert main(["verify", str(path)]) == 2
     assert "takes over 3 steps" in capsys.readouterr().err
+
+
+def test_kurtz_word_counts_past_2_63(tmp_path, capsys):
+    """At t = 5 the survivors of ``--clopen 1 --k 2`` are 64 cubes of 487
+    bits, which stand for more words than ``len()`` can return.  At t = 8
+    they are 512 cubes of 13,123 bits, but their sharp visits 2,036 cubes,
+    over the 2^24-bit budget."""
+    argv = ("kurtz", "--clopen", "1", "--k", "2", "--t-max", "6")
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[6].split(",")[2] == str(729 * 2**475)
+    path = tmp_path / "out.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    code, out = run_cli(capsys, "verify", str(path))
+    assert (code, out.count(": ok\n")) == (0, 6)
+    assert main([*argv[:-1], "10"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parity_target_over_the_budget_exits_2_quickly(capsys):
+    """8-bit parity takes 128 cubes: one stage of two blocks builds, two stages
+    would take over 2^24 bits of cubes and stop before sharping them all."""
+    odd = ",".join(format(v, "08b") for v in range(256) if v.bit_count() % 2)
+    code, out = run_cli(capsys, "kurtz", "--clopen", odd, "--k", "2", "--t-max", "1")
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    start = time.perf_counter()
+    assert main(["kurtz", "--clopen", odd, "--k", "2", "--t-max", "2"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert time.perf_counter() - start < 20
+
+
+def test_level_budget_counts_cubes(tmp_path, capsys):
+    """Level 3 of this run stands for 4,110,838,094,880 words but takes a few
+    hundred cubes, far below the level budget of 2^22."""
+    (tmp_path / "M.txt").write_text("stage 2: 11\nstage 5: 00000\n")
+    code, out = run_cli(capsys, "mltest", "--class-file", str(tmp_path / "M.txt"), "--k", "2",
+                        "--r", "5", "--stage-max", "60")
+    assert code == 0 and json.loads(out)["all_pass"] is True

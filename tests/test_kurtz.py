@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 from shiftrec.bitseq import ExplicitPrefixSource, PseudorandomSource, Word, constant_source
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BoundViolationError, BudgetExceededError
-from shiftrec.kurtz import KurtzSchedule, _survivor_values, kurtz_capture, kurtz_stage_set
-from shiftrec.measure import ClopenSet, measure_open
+from shiftrec.kurtz import (
+    KurtzSchedule,
+    _word_cubes,
+    kurtz_capture,
+    kurtz_stage_set,
+    survivor_cover,
+)
+from shiftrec.measure import ClopenSet, CubeSet, measure_open
 
 
 def W(text):
@@ -76,7 +82,8 @@ def test_measure_identity_matches_oracle(n0, k, t, mask):
     strings = {format(w, f"0{n0}b") for w in members}
     count, length = oracle_survivors(strings, n0, k, t)
     assert cert.exact_measure == Dyadic(count, length)
-    assert measure_open(cert.words) == cert.exact_measure
+    # the survivors stand for up to 2^14 words, listed as cubes above 4,096
+    assert measure_open(cert.cover.expand(1 << 14)) == cert.exact_measure
 
 
 @st.composite
@@ -105,17 +112,40 @@ def test_survivor_values_match_brute_force(layout):
         ):
             survivors.add(value)
     formula = Dyadic(len(survivors), length)
+    size = len(stages[0][0])
+    target = ClopenSet(size, (Word(m, size) for m in members))
     # the stages are read once, as the grid survivor count passes them
     once = ((block for block in blocks) for blocks in stages)
-    values = _survivor_values(length, once, iter(members), formula)
-    assert len(values) == len(survivors) and set(values) == survivors
+    words = survivor_cover(length, once, target, formula).expand(1 << length)
+    assert len(words) == len(survivors) and {w.value for w in words} == survivors
     with pytest.raises(BoundViolationError):
-        _survivor_values(length, stages, members, Dyadic(len(survivors) + 1, length))
+        survivor_cover(length, stages, target, Dyadic(len(survivors) + 1, length))
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         kurtz_stage_set(P_ONES, 2, 9)
+
+
+@given(st.integers(1, 8), st.data())
+def test_word_cubes_cover_exactly_the_words(bits, data):
+    values = data.draw(st.sets(st.integers(0, (1 << bits) - 1)))
+    cover = CubeSet((bits, care, value) for care, value in _word_cubes(values, bits))
+    assert cover.overlap(1 << 20) is None
+    assert sorted(w.value for w in cover.expand(1 << bits)) == sorted(values)
+
+
+def test_many_word_targets_take_few_cubes_or_stop_early():
+    """All 12-bit words but one are 12 cubes; 8-bit parity takes 128 cubes,
+    so two blocks at two stages would take over 2^24 bits of cubes."""
+    assert len(_word_cubes(set(range(1, 1 << 12)), 12)) == 12
+    all_but_one = ClopenSet(12, (Word(v, 12) for v in range(1, 1 << 12)))
+    assert kurtz_stage_set(all_but_one, 2, 1).exact_measure == Dyadic((2**13 - 1) ** 2, 48)
+    odd = ClopenSet(8, (Word(v, 8) for v in range(1 << 8) if v.bit_count() % 2))
+    assert len(_word_cubes({w.value for w in odd.words}, 8)) == 128
+    assert kurtz_stage_set(odd, 2, 0).cover.measure() == Dyadic(3, 2)
+    with pytest.raises(BudgetExceededError):
+        kurtz_stage_set(odd, 2, 1)
 
 
 def test_capture_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftrec import measure
 from shiftrec.bitseq import EMPTY_WORD, Word, all_words
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BudgetExceededError, NoCertificateError
@@ -19,6 +20,7 @@ from shiftrec.measure import (
     sharp,
     sharp_cover,
     split_tail,
+    union_cover,
 )
 
 
@@ -385,3 +387,57 @@ def test_cover_examples_and_budgets():
     for bad in ("1x0", "1 0", "2"):
         with pytest.raises(ValueError):
             CubeSet.from_strings([bad])
+
+
+@given(st.lists(cubes(max_length=7), max_size=6))
+def test_union_cover_is_the_prefix_reduced_union(cube_list):
+    kept = CubeSet(union_cover(cube_list))
+    assert kept.overlap(1 << 20) is None
+    union = prefix_reduce(w for c in cube_list for w in cube_words(c))
+    assert set(expansion(kept)) == set(union)
+    assert kept.measure() == measure_open(union)
+
+
+def test_cover_budgets_count_visited_cubes(monkeypatch):
+    # full # 0*1* visits full with 0*1*, then its pieces 1*** and 0*0*: four cubes
+    with pytest.raises(BudgetExceededError):
+        sharp_cover([(4, 0, 0)], [(4, 0b1010, 0b0010)], 3)
+    assert len(sharp_cover([(4, 0, 0)], [(4, 0b1010, 0b0010)], 4)) == 2
+    # 1 takes one of ten bits; *** # 1 then visits three cubes, nine bits
+    monkeypatch.setattr(measure, "COVER_BITS", 10)
+    assert CubeSet(union_cover([(1, 1, 1), (3, 0, 0)])).strings() == ["1", "0**"]
+    monkeypatch.setattr(measure, "COVER_BITS", 9)
+    with pytest.raises(BudgetExceededError):
+        union_cover([(1, 1, 1), (3, 0, 0)])
+
+
+def reference_sharp(a, b):
+    """``a # b`` bit by bit, lowest bit first (Brayton et al., 1984)."""
+    n, care, value = a
+    m, b_care, b_value = b
+    b_care, b_value = b_care << (n - m), b_value << (n - m)
+    if care & b_care & (value ^ b_value):
+        return [a]
+    pieces, free = [], b_care & ~care
+    while free:
+        bit = free & -free
+        pieces.append((n, care | bit, value | (bit & ~b_value)))
+        care, value, free = care | bit, value | (bit & b_value), free ^ bit
+    return pieces
+
+
+@given(cubes(), st.data())
+def test_sharp_cover_of_one_cube_sharps_one_removed_cube_at_a_time(a, data):
+    """The same pieces in the same order as sharping by each removed cube in turn."""
+    removed = data.draw(st.lists(cubes(max_length=a[0]), max_size=6))
+    pieces = [a]
+    for b in removed:
+        pieces = [p for piece in pieces for p in reference_sharp(piece, b)]
+    assert sharp_cover([a], removed) == pieces
+
+
+def test_word_count_past_sys_maxsize():
+    cover = CubeSet([(100, 1, 1)])
+    assert cover.word_count == 1 << 99
+    with pytest.raises(OverflowError):
+        len(cover)

@@ -12,8 +12,14 @@ import pytest
 
 from shiftrec.bitseq import EMPTY_WORD, Word, constant_source
 from shiftrec.dyadic import D_ONE, Dyadic, half_power
-from shiftrec.errors import InapplicableBoundError
-from shiftrec.measure import StagedCoEnumeration, is_prefix_free, measure_open, split_tail
+from shiftrec.errors import BudgetExceededError, InapplicableBoundError
+from shiftrec.measure import (
+    StagedCoEnumeration,
+    is_prefix_free,
+    measure_open,
+    sharp_cover,
+    split_tail,
+)
 from shiftrec.mltest import (
     refinement_depth,
     MLConstruction,
@@ -136,6 +142,31 @@ def test_empty_complement_gives_empty_levels():
     assert level_words(con, 0) == {EMPTY_WORD}
     for r in (1, 2, 3):
         assert len(con.level(r)) == 0
+
+
+def test_level_budget_charges_child_cubes_and_pieces(monkeypatch):
+    """A level build charges one per child cube and one per piece that
+    ``sharp_cover`` returns, not one per word."""
+    import shiftrec.mltest as mltest
+
+    coenum = StagedCoEnumeration.from_text("stage 2: 11\nstage 5: 00000\n")
+    con = MLConstruction(coenum, 2, 22)
+    con.level(1)
+    charged = []
+
+    def counting(children, entered):
+        pieces = sharp_cover(children, entered)
+        charged.append(len(children) + len(pieces))
+        return pieces
+
+    monkeypatch.setattr(mltest, "sharp_cover", counting)
+    con.level(2)
+    monkeypatch.undo()
+    total = sum(charged)  # level 2 stands for 1,007 words
+    assert total < len(con.level(2)) and 2 < len(charged)
+    assert MLConstruction(coenum, 2, 22, candidate_budget=total).level(2) == con.level(2)
+    with pytest.raises(BudgetExceededError):
+        MLConstruction(coenum, 2, 22, candidate_budget=total - 1).level(2)
 
 
 def test_level_zero_certificate():

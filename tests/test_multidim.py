@@ -19,6 +19,7 @@ from shiftrec.multidim import (
     ExplicitGridSource,
     GridMLConstruction,
     SeededGridSource,
+    _shell_position,
     all_samples,
     array_measure_open,
     arrays_prefix_free,
@@ -120,6 +121,15 @@ def test_shell_word_examples():
     # shells of the 3x3 cube: (0,0) | (0,1) (1,0) (1,1) | (0,2) (1,2) (2,0) (2,1) (2,2)
     assert sample2("011010001", 3).word() == Word.from_string("010110001")
     assert ArraySample(3, 0, ()).word() == Word(0, 0)
+
+
+def test_shell_position_is_the_rank_in_the_sorted_shell_order():
+    """The arithmetic shell position of a cell against its index among the
+    cells sorted by (largest coordinate, row-major)."""
+    for k in (1, 2, 3, 4):
+        for n in range(6):
+            cells = sorted(product(range(n), repeat=k), key=lambda v: (max(v), v))
+            assert [_shell_position(v) for v in cells] == list(range(n**k))
 
 
 def test_shell_word_prefix_is_restriction():
@@ -256,9 +266,12 @@ def test_grid_kurtz_product_across_stages():
 
 
 def test_grid_kurtz_budget():
+    # r = 15 is the least r whose sharp visits over 2^24 bits of cubes: its
+    # cover is 2^15 cubes of 16^2 bits, and the sharp visits more than 2^16
     target = ClopenSet(1, {ONE_CELL.word()})
+    grid_kurtz_stage_set(target, 2, 14)
     with pytest.raises(BudgetExceededError):
-        grid_kurtz_stage_set(target, 2, 5)
+        grid_kurtz_stage_set(target, 2, 15)
 
 
 def _survives_by_cells(sample, k, n1, target_bits, r):
@@ -282,8 +295,9 @@ def test_grid_kurtz_multi_cell_blocks_match_cell_oracle(k, n1, target_bits):
     target = ClopenSet(n1**k, shell_words(k, n1, [target_bits]))
     cert = grid_kurtz_stage_set(target, k, 1)
     size = 2 * n1
-    survivors = {ArraySample.from_word(k, w).bit_string() for w in cert.words}
-    assert len(survivors) == len(cert.words)
+    words = cert.cover.expand(1 << size**k)  # cubes above 4,096 words
+    survivors = {ArraySample.from_word(k, w).bit_string() for w in words}
+    assert len(survivors) == len(words)
     for value in range(1 << size**k):
         bits = format(value, f"0{size**k}b")
         sample = ArraySample.from_bit_string(k, size, bits)
