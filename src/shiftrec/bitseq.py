@@ -143,13 +143,17 @@ class SequenceSource:
     def bit(self, index: int) -> int:
         raise NotImplementedError
 
-    def window(self, start: int, length: int) -> Word:
-        """Bits ``start .. start+length`` as a word."""
+    def window_value(self, start: int, length: int) -> int:
+        """The packed value of bits ``start .. start+length``."""
         _check_window(start, length)
         value = 0
         for i in range(start, start + length):
             value = (value << 1) | self.bit(i)
-        return Word(value, length)
+        return value
+
+    def window(self, start: int, length: int) -> Word:
+        """Bits ``start .. start+length`` as a word."""
+        return Word(self.window_value(start, length), length)
 
     def prefix(self, length: int) -> Word:
         """The first ``length`` bits."""
@@ -164,10 +168,10 @@ class PseudorandomSource(SequenceSource):
     least significant end) of block ``i // 64``.  The generator is spelled
     out here so that a seed reproduces the same sequence on any platform.
 
-    ``window`` reads a cache of the blocks, each stored bit-reversed so that
-    stream bit ``i`` is bit ``63 - (i & 63)`` of entry ``i >> 6`` and a
-    window is a shift and a mask of the joined entries.  The cache grows on
-    demand to the last block read; ``bit`` computes its block afresh.
+    ``window_value`` reads a cache of the blocks, each stored bit-reversed so
+    that stream bit ``i`` is bit ``63 - (i & 63)`` of entry ``i >> 6`` and
+    a window is a shift and a mask of the joined entries.  The cache grows
+    on demand to the last block read; ``bit`` computes its block afresh.
     """
 
     def __init__(self, seed: int):
@@ -188,10 +192,10 @@ class PseudorandomSource(SequenceSource):
             raise IndexError("negative bit index")
         return (self._block(index >> 6) >> (index & 63)) & 1
 
-    def window(self, start: int, length: int) -> Word:
+    def window_value(self, start: int, length: int) -> int:
         _check_window(start, length)
         if not length:
-            return EMPTY_WORD
+            return 0
         end = start + length
         last = (end - 1) >> 6
         cache = self._reversed
@@ -204,7 +208,11 @@ class PseudorandomSource(SequenceSource):
             for block in cache[start >> 6 : last + 1]:
                 value = (value << 64) | block
         # the joined entries end at bit (last + 1) * 64 of the stream
-        return Word((value >> (-end & 63)) & ((1 << length) - 1), length)
+        return (value >> (-end & 63)) & ((1 << length) - 1)
+
+    def window(self, start: int, length: int) -> Word:
+        # defined here too: perfbench traces PseudorandomSource.window by name
+        return Word(self.window_value(start, length), length)
 
     def __repr__(self) -> str:
         return f"PseudorandomSource(seed={self.seed})"

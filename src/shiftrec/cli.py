@@ -131,7 +131,16 @@ def _seed_list(args) -> list[int] | None:
         seeds.extend(args.seed)
     if args.seeds_file:
         with open(args.seeds_file, "r", encoding="utf-8") as fh:
-            seeds.extend(int(tok) for tok in fh.read().split())
+            tokens = fh.read().split()
+        if not tokens and not seeds:
+            raise ValueError(f"seeds file {args.seeds_file} holds no seeds")
+        for tok in tokens:
+            try:
+                seeds.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"seeds file {args.seeds_file}: {tok!r} is not an integer seed"
+                ) from None
     return seeds or None
 
 

@@ -386,9 +386,13 @@ def sorted_words(words: _WordIter) -> tuple[Word, ...]:
 
 
 class ClopenSet:
-    """A finite union of cylinders presented at one fixed granularity."""
+    """A finite union of cylinders presented at one fixed granularity.
 
-    __slots__ = ("granularity", "words")
+    Membership is decided on packed values.  The members' values, and the
+    values of their prefixes of each length, are built on first use.
+    """
+
+    __slots__ = ("granularity", "words", "_values", "_prefixes")
 
     def __init__(self, granularity: int, words: _WordIter):
         if granularity < 1:
@@ -399,6 +403,8 @@ class ClopenSet:
                 raise ValueError(f"word {w} does not have length {granularity}")
         object.__setattr__(self, "granularity", granularity)
         object.__setattr__(self, "words", ws)
+        object.__setattr__(self, "_values", None)
+        object.__setattr__(self, "_prefixes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")
@@ -429,15 +435,34 @@ class ClopenSet:
             (w for w in all_words(self.granularity) if w not in self.words),
         )
 
+    def _member_values(self) -> frozenset[int]:
+        if self._values is None:
+            object.__setattr__(self, "_values", frozenset(w.value for w in self.words))
+        return self._values
+
+    def contains_value(self, value: int) -> bool:
+        """Membership of the word of ``granularity`` bits packed in ``value``."""
+        values = self._values
+        if values is None:
+            values = self._member_values()
+        return value in values
+
     def contains_word(self, w: Word) -> bool:
         """Membership of any word of length >= granularity, decided on its head."""
-        if w.length != self.granularity:
-            if w.length < self.granularity:
-                raise ValueError(
-                    f"word of length {w.length} is too short for granularity {self.granularity}"
-                )
-            w = w.take(self.granularity)
-        return w in self.words
+        if w.length < self.granularity:
+            raise ValueError(
+                f"word of length {w.length} is too short for granularity {self.granularity}"
+            )
+        return self.contains_value(w.value >> (w.length - self.granularity))
+
+    def prefix_values(self) -> tuple[frozenset[int], ...]:
+        """Entry ``j`` holds the values of the members' length-``j`` prefixes,
+        for ``j = 0 .. granularity``; read only."""
+        if self._prefixes is None:
+            g, values = self.granularity, self._member_values()
+            table = tuple(frozenset(v >> (g - j) for v in values) for j in range(g))
+            object.__setattr__(self, "_prefixes", table + (values,))
+        return self._prefixes
 
     def __eq__(self, other):
         if isinstance(other, ClopenSet):

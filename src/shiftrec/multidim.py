@@ -269,6 +269,20 @@ class GridSource:
         """The shell word of the size-n sample, read cell by cell in shell order."""
         return Word.from_bits(self.bit(v) for v in _shell_cells(self.dimension, size))
 
+    def block_bits(self, axis: int, offset: int, size: int) -> Iterator[int]:
+        """The bits of the size-n block moved ``offset`` cells along ``axis``
+        (0-based), one cell at a time in the block's shell order: the shell
+        word of ``face_shift(self, axis + 1, offset)``, read lazily."""
+        self._check_block(axis, offset)
+        for u in _shell_cells(self.dimension, size):
+            yield self.bit(u[:axis] + (u[axis] + offset,) + u[axis + 1 :])
+
+    def _check_block(self, axis: int, offset: int) -> None:
+        if not 0 <= axis < self.dimension:
+            raise ValueError(f"axis {axis} outside 0..{self.dimension - 1}")
+        if offset < 0:
+            raise ValueError("shift amount must be nonnegative")
+
 
 class SeededGridSource(GridSource):
     """splitmix64-mixed coordinates: ``h = mix64(seed + GAMMA)`` then
@@ -280,6 +294,10 @@ class SeededGridSource(GridSource):
         self.seed = int(seed)
         self.dimension = dimension
         self._h0 = _mix64(self.seed + _GAMMA)
+        # (axis, size) -> per cell of the block in shell order: the hash
+        # through the coordinates before the axis, the coordinate on it and
+        # the coordinates after it
+        self._chains: dict[tuple[int, int], list[tuple[int, int, tuple[int, ...]]]] = {}
 
     def bit(self, coords: tuple[int, ...]) -> int:
         if len(coords) != self.dimension:
@@ -290,6 +308,26 @@ class SeededGridSource(GridSource):
                 raise IndexError("negative coordinate")
             h = _mix64(h ^ (c + _GAMMA))
         return h & 1
+
+    def block_bits(self, axis: int, offset: int, size: int) -> Iterator[int]:
+        """As :meth:`GridSource.block_bits`; the mix chain through the
+        unshifted leading coordinates is hashed once per axis, size and cell,
+        and only the shifted coordinate and the ones after it per offset."""
+        self._check_block(axis, offset)
+        chains = self._chains.get((axis, size))
+        if chains is None:
+            chains = []
+            for u in _shell_cells(self.dimension, size):
+                h = self._h0
+                for c in u[:axis]:
+                    h = _mix64(h ^ (c + _GAMMA))
+                chains.append((h, u[axis], u[axis + 1 :]))
+            self._chains[axis, size] = chains
+        for h, c, rest in chains:
+            h = _mix64(h ^ (c + offset + _GAMMA))
+            for c in rest:
+                h = _mix64(h ^ (c + _GAMMA))
+            yield h & 1
 
 
 class ExplicitGridSource(GridSource):
@@ -349,18 +387,33 @@ def array_measure_open(samples: _SampleIter) -> Dyadic:
 
 def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | None:
     """Least n <= n_max whose k simultaneous face shifts all land in the target,
-    a clopen set of the shell words of one cube size."""
+    a clopen set of the shell words of one cube size.
+
+    Each shifted block is read cell by cell against the values of the
+    target's prefixes, and abandoned at the first cell that no target word
+    agrees with up to there.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     k = grid.dimension
     n1 = _cube_side(target.granularity, k)
+    prefixes = target.prefix_values()[1:]
+    block_bits = grid.block_bits
     for n in range(1, n_max + 1):
-        if all(
-            target.contains_word(face_shift(grid, i, n).shell_word(n1))
-            for i in range(1, k + 1)
-        ):
+        if all(_spells_member(block_bits(axis, n, n1), prefixes) for axis in range(k)):
             return n
     return None
+
+
+def _spells_member(bits: Iterator[int], prefixes: Sequence[frozenset[int]]) -> bool:
+    """The bits spell a member, read until the first bit at which the value so
+    far is no member's prefix; ``prefixes[j]`` holds the length-(j+1) ones."""
+    value = 0
+    for bit, agreeing in zip(bits, prefixes):
+        value = value << 1 | bit
+        if value not in agreeing:
+            return False
+    return True
 
 
 def grid_kurtz_stage_set(target: ClopenSet, dimension: int, r: int) -> TestCertificate:

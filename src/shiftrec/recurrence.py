@@ -22,14 +22,25 @@ from .measure import ClopenSet, StagedCoEnumeration, prefix_reduce
 class Pi01Target:
     """An effectively closed target, examined at a fixed stage budget."""
 
-    __slots__ = ("coenum", "stage_budget", "complement")
+    __slots__ = ("coenum", "stage_budget", "complement", "_by_drop")
 
     def __init__(self, coenum: StagedCoEnumeration, stage_budget: int):
         if stage_budget < 0:
             raise ValueError("stage budget must be nonnegative")
+        complement = prefix_reduce(coenum.cumulative(stage_budget))
         object.__setattr__(self, "coenum", coenum)
         object.__setattr__(self, "stage_budget", stage_budget)
-        object.__setattr__(self, "complement", prefix_reduce(coenum.cumulative(stage_budget)))
+        object.__setattr__(self, "complement", complement)
+        # (bits dropped from a window, complement values of that shorter length)
+        object.__setattr__(
+            self,
+            "_by_drop",
+            tuple(
+                (stage_budget - shorter, values)
+                for shorter, values in complement.values_by_length().items()
+                if shorter <= stage_budget
+            ),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Pi01Target is immutable")
@@ -43,8 +54,30 @@ class Pi01Target:
         """No enumerated complement word is a prefix of ``w``."""
         return not self.complement.covers(w)
 
+    def contains_value(self, value: int) -> bool:
+        """:meth:`contains_word` of the ``granularity``-bit word packed in ``value``."""
+        for drop, values in self._by_drop:
+            if value >> drop in values:
+                return False
+        return True
+
 
 Target = Union[ClopenSet, Pi01Target]
+
+
+def _first_witness(
+    source: SequenceSource, target: Target, k: int, candidates: range
+) -> int | None:
+    """The first candidate ``n`` whose tails at ``n, 2n, ..., kn`` all lie in
+    the target, read as packed window values."""
+    length, contains, window = target.granularity, target.contains_value, source.window_value
+    for n in candidates:
+        for offset in range(n, k * n + 1, n):
+            if not contains(window(offset, length)):
+                break
+        else:
+            return n
+    return None
 
 
 def is_witness(source: SequenceSource, target: Target, k: int, n: int) -> bool:
@@ -53,11 +86,14 @@ def is_witness(source: SequenceSource, target: Target, k: int, n: int) -> bool:
         raise ValueError("witness candidates start at n = 1")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    length, contains, window = target.granularity, target.contains_word, source.window
-    for offset in range(n, k * n + 1, n):
-        if not contains(window(offset, length)):
-            return False
-    return True
+    return _first_witness(source, target, k, range(n, n + 1)) is not None
+
+
+def least_witness(source: SequenceSource, target: Target, k: int, n_max: int) -> int | None:
+    """The least witness ``n <= n_max``, or None, by linear scan."""
+    if k < 1 or n_max < 1:
+        raise ValueError("k and n_max must be positive integers")
+    return _first_witness(source, target, k, range(1, n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -105,17 +141,17 @@ class WitnessReport:
 
 
 def find_witness(query: RecurrenceQuery) -> WitnessReport:
-    """Least witness up to ``n_max`` by linear scan; the evidence is the ``k``
-    blocks of the reported witness, read again."""
+    """:func:`least_witness` with evidence: the ``k`` blocks of the reported
+    witness, read again as words."""
     source, target, k = query.source, query.target, query.k
-    for n in range(1, query.n_max + 1):
-        if is_witness(source, target, k, n):
-            checks = tuple(
-                BlockCheck(i, i * n, source.window(i * n, target.granularity), True)
-                for i in range(1, k + 1)
-            )
-            return WitnessReport(n, query.n_max, checks)
-    return WitnessReport(None, query.n_max, ())
+    n = least_witness(source, target, k, query.n_max)
+    if n is None:
+        return WitnessReport(None, query.n_max, ())
+    checks = tuple(
+        BlockCheck(i, i * n, source.window(i * n, target.granularity), True)
+        for i in range(1, k + 1)
+    )
+    return WitnessReport(n, query.n_max, checks)
 
 
 def recurrence_profile(
@@ -124,10 +160,7 @@ def recurrence_profile(
     """Least witness (or None) for each k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    return tuple(
-        (k, find_witness(RecurrenceQuery(source, target, k, n_max)).witness)
-        for k in range(1, k_max + 1)
-    )
+    return tuple((k, least_witness(source, target, k, n_max)) for k in range(1, k_max + 1))
 
 
 @dataclass(frozen=True)
@@ -185,8 +218,5 @@ def batch_statistics(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be nonempty")
-    rows = []
-    for seed in seeds:
-        query = RecurrenceQuery(PseudorandomSource(seed), target, k, n_max)
-        rows.append((seed, find_witness(query).witness))
+    rows = [(seed, least_witness(PseudorandomSource(seed), target, k, n_max)) for seed in seeds]
     return BatchSummary(k, n_max, tuple(rows))

@@ -23,7 +23,11 @@ _MAX_PRECISION = 1 << 14
 
 
 def default_precision() -> int:
-    return int(os.environ.get(DEFAULT_PRECISION_ENV, "128"))
+    text = os.environ.get(DEFAULT_PRECISION_ENV, "128")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{DEFAULT_PRECISION_ENV} must be an integer, not {text!r}") from None
 
 
 def _checked_precision(precision: int) -> int:
@@ -157,38 +161,45 @@ class ReturnReport:
         }
 
 
-def _certified_distances(
-    system: RotationSystem, k: int, n: int, epsilon: Fraction, precision: int
-) -> tuple[tuple[Fraction, ...] | None, int]:
-    """Distances for multiples 1..k if all are certifiably below epsilon, else
-    None, together with the precision that decided it.  The precision doubles
-    while a comparison is too close to call; PrecisionError past the cap.
+def _scan_returns(
+    system: RotationSystem, k: int, epsilon: Fraction, n_lo: int, n_hi: int, precision: int
+) -> tuple[int | None, tuple[Fraction, ...], int]:
+    """The least n in ``n_lo..n_hi`` with every multiple ``i*n*alpha`` (i = 1..k)
+    certifiably within epsilon of an integer, its distances, and the
+    precision reached; ``(None, (), precision)`` when no n qualifies.
 
-    With ``value = num/den`` and ``err = e/den`` the distance of ``i*n*alpha``
-    is ``d/den`` with ``d = min(x, den - x)``, ``x = i*n*num mod den``, and
-    ``d/den ± i*n*e/den`` is compared with ``epsilon`` by cross-multiplication."""
+    Each precision is set up once: with ``value = num/den`` and
+    ``err = e/den`` the distance of ``i*n*alpha`` is ``d/den`` with
+    ``d = min(x, den - x)``, ``x = i*n*num mod den``, and
+    ``d/den ± i*n*e/den`` is compared with ``epsilon`` by
+    cross-multiplication.  A comparison too close to call doubles the
+    precision and the scan goes on from that n: every smaller n stays
+    certified "no return".  PrecisionError past the cap.
+    """
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
+    n = n_lo
     while True:
         value, err = system.approx(precision)
         den = math.lcm(value.denominator, err.denominator)
         num = value.numerator * (den // value.denominator)
         e = err.numerator * (den // err.denominator)
         bar = eps_num * den
-        step, slack_step = n * num % den, n * e
-        x, slack = 0, 0
-        ds = []
-        for i in range(1, k + 1):
-            x = (x + step) % den
-            slack += slack_step
-            d = min(x, den - x)
-            if (d + slack) * eps_den < bar:
-                ds.append(d)
-            elif (d - slack) * eps_den >= bar:
-                return None, precision
+        for n in range(n, n_hi + 1):
+            step, slack_step = n * num % den, n * e
+            x, slack = 0, 0
+            for i in range(1, k + 1):
+                x = (x + step) % den
+                slack += slack_step
+                d = min(x, den - x)
+                if (d + slack) * eps_den >= bar:
+                    break
             else:
-                break
+                xs = (i * step % den for i in range(1, k + 1))
+                return n, tuple(Fraction(min(x, den - x), den) for x in xs), precision
+            if (d - slack) * eps_den < bar:
+                break  # too close to call at this precision
         else:
-            return tuple(Fraction(d, den) for d in ds), precision
+            return None, (), precision
         precision *= 2
         if precision > _MAX_PRECISION:
             raise PrecisionError(
@@ -204,8 +215,7 @@ def find_multi_return(
     precision: int | None = None,
 ) -> ReturnReport | None:
     """Least n <= n_max with every multiple n*i*alpha within epsilon of an
-    integer.  A comparison too close to call doubles the precision and the
-    scan goes on from that n: every smaller n stays certified "no return"."""
+    integer, by one scan over 1..n_max (see :func:`_scan_returns`)."""
     if k < 1:
         raise ValueError("k must be positive")
     if n_max < 1:
@@ -214,11 +224,8 @@ def find_multi_return(
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     prec = _checked_precision(precision) if precision is not None else system.precision
-    for n in range(1, n_max + 1):
-        dists, prec = _certified_distances(system, k, n, eps, prec)
-        if dists is not None:
-            return ReturnReport(n, dists, eps, n_max, prec)
-    return None
+    n, dists, prec = _scan_returns(system, k, eps, 1, n_max, prec)
+    return None if n is None else ReturnReport(n, dists, eps, n_max, prec)
 
 
 def verify_return(
@@ -226,8 +233,8 @@ def verify_return(
 ) -> bool:
     """Re-check a report, by default at twice the precision it was made at."""
     prec = _checked_precision(precision) if precision is not None else 2 * report.precision
-    dists, _ = _certified_distances(system, len(report.distances), report.n, report.epsilon, prec)
-    return dists is not None
+    k, n = len(report.distances), report.n
+    return _scan_returns(system, k, report.epsilon, n, n, prec)[0] is not None
 
 
 def cf_accelerated_return(
@@ -252,8 +259,8 @@ def cf_accelerated_return(
     for _, q in system.convergents(max_depth):
         if q < 1:
             continue
-        dists, prec = _certified_distances(system, k, q, eps, prec)
-        if dists is not None:
+        n, dists, prec = _scan_returns(system, k, eps, q, q, prec)
+        if n is not None:
             return ReturnReport(q, dists, eps, q, prec)
     raise DepthExhaustedError(
         f"no convergent denominator within depth {max_depth} certified a return"

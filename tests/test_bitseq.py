@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from shiftrec.bitseq import (
@@ -129,10 +129,11 @@ PSEUDORANDOM_WINDOWS = [
 
 @pytest.mark.parametrize("start,length", PSEUDORANDOM_WINDOWS)
 def test_pseudorandom_window_matches_bitwise_reference(start, length):
-    # SequenceSource.window reads the stream bit by bit through ``bit``,
+    # SequenceSource.window_value reads the stream bit by bit through ``bit``,
     # which mixes its block afresh instead of reading the cache
     src = PseudorandomSource(0x5EED)
-    assert src.window(start, length) == SequenceSource.window(src, start, length)
+    reference = SequenceSource.window_value(src, start, length)
+    assert src.window(start, length) == Word(reference, length)
 
 
 def test_pseudorandom_window_after_a_far_read():
@@ -140,7 +141,46 @@ def test_pseudorandom_window_after_a_far_read():
     src = PseudorandomSource(2024)
     reads = [(600, 40), (3, 1), (0, 64), (250, 200), (640, 1), (700, 64)]
     for start, length in reads:
-        assert src.window(start, length) == SequenceSource.window(src, start, length)
+        assert src.window_value(start, length) == SequenceSource.window_value(src, start, length)
+
+
+def _bit_by_bit(src, start, length):
+    value = 0
+    for i in range(start, start + length):
+        value = value << 1 | src.bit(i)
+    return value
+
+
+FILE_BITS = 8 * 40
+INT_PATH_SOURCES = {
+    "pseudorandom": PseudorandomSource(0x5EED),
+    "periodic": EventuallyPeriodicSource.from_strings("10110", "0111001"),
+    "explicit": ExplicitPrefixSource(Word.from_string("1101" * 30), 1),
+    "file": FileSource.from_bytes(bytes(range(7, 7 + FILE_BITS // 8))),
+}
+
+
+@pytest.mark.parametrize("name", INT_PATH_SOURCES)
+@given(start=st.integers(0, FILE_BITS + 10), length=st.integers(0, 140))
+@example(start=0, length=0)
+@example(start=200, length=0)
+@example(start=63, length=2)
+@example(start=60, length=64)
+@example(start=1, length=128)
+@example(start=128, length=64)
+def test_window_value_is_window_is_bit_by_bit(name, start, length):
+    """window_value == window().value == reading ``bit`` one index at a time,
+    also across 64-bit block boundaries and for empty windows; a file
+    source raises past its end on all three paths."""
+    src = INT_PATH_SOURCES[name]
+    if name == "file" and length and start + length > FILE_BITS:
+        for read in (src.window_value, src.window, lambda s, n: _bit_by_bit(src, s, n)):
+            with pytest.raises(InsufficientDataError):
+                read(start, length)
+        return
+    value = src.window_value(start, length)
+    assert src.window(start, length) == Word(value, length)
+    assert value == _bit_by_bit(src, start, length)
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,44 @@ def test_precision_env_default(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["scan"]["precision"] == 64
 
 
+def test_non_integer_precision_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SHIFTREC_PRECISION", "abc")
+    assert main(["rotate", "--alpha", "golden", "--k", "2"]) == 2
+    assert "SHIFTREC_PRECISION must be an integer, not 'abc'" in capsys.readouterr().err
+
+
+def test_seeds_file_bad_token_names_file_and_token(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("1 2\nx3 4\n")
+    assert main(["recur", "--clopen", "1", "--seeds-file", str(seeds)]) == 2
+    assert f"seeds file {seeds}: 'x3' is not an integer seed" in capsys.readouterr().err
+
+
+def test_empty_seeds_file_says_it_holds_no_seeds(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(" \n")
+    assert main(["recur", "--clopen", "1", "--seeds-file", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert f"seeds file {seeds} holds no seeds" in err
+    assert "recur needs" not in err
+
+
+def test_search_witnesses_in_csv(capsys):
+    """The witnesses the console-script step of CI checks."""
+    code, out = run_cli(
+        capsys, "recur", "--clopen", "1", "--k", "4", "--n-max", "5000",
+        "--seed", "1", "--seed", "2", "--seed", "3", "--format", "csv",
+    )
+    assert code == 0
+    assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["37", "3", "79"]
+    code, out = run_cli(
+        capsys, "grid", "--op", "witness", "--dimension", "2", "--n1", "2",
+        "--target-bits", "1011,0000", "--n-max", "4000", "--seed", "7", "--format", "csv",
+    )
+    assert code == 0
+    assert out == "seed,dimension,n_max,witness\n7,2,4000,67\n"
+
+
 def test_cert_csv_has_fixed_column_count(capsys):
     import csv
     import io

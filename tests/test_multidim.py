@@ -18,6 +18,7 @@ from shiftrec.multidim import (
     ArraySample,
     ExplicitGridSource,
     GridMLConstruction,
+    GridSource,
     SeededGridSource,
     _shell_position,
     all_samples,
@@ -234,6 +235,61 @@ def test_grid_find_witness_matches_scan_oracle():
             None,
         )
         assert got == oracle
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n1", [1, 2, 3])
+def test_block_bits_are_the_shifted_shell_word(k, n1):
+    """Seeded block_bits (hoisted mix chains) == the generic GridSource
+    version (through ``bit``) == the face-shifted source's shell word."""
+    for seed in (0, 5):
+        grid = SeededGridSource(seed, k)
+        for axis in range(k):
+            for offset in (0, 1, 2, 7, 64):
+                seeded = tuple(grid.block_bits(axis, offset, n1))
+                generic = tuple(GridSource.block_bits(grid, axis, offset, n1))
+                shifted = face_shift(grid, axis + 1, offset).shell_word(n1).bits()
+                assert seeded == generic == shifted, (seed, axis, offset)
+
+
+def _grid_witness_by_shell_words(grid, target, n_max):
+    """Least n whose k face-shifted shell words all lie in the target, each
+    block read in full."""
+    k = grid.dimension
+    n1 = round(target.granularity ** (1 / k))
+    for n in range(1, n_max + 1):
+        if all(
+            target.contains_word(face_shift(grid, i, n).shell_word(n1)) for i in range(1, k + 1)
+        ):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("k, n1", [(1, 3), (2, 2), (3, 1), (2, 3)])
+def test_grid_find_witness_matches_full_read_oracle(k, n1):
+    """Abandoning a block at its first failing cell finds the same least n as
+    reading every block in full, on seeded and explicit grids."""
+    rng = random.Random(100 * k + n1)
+    cells = n1**k
+    found = 0
+    for trial in range(8):
+        words = rng.sample(range(1 << cells), rng.randint(1, max(1, (1 << cells) // 3)))
+        target = ClopenSet(cells, {Word(v, cells) for v in words})
+        size = 12
+        sample = ArraySample(k, size, tuple(rng.randint(0, 1) for _ in range(size**k)))
+        for grid in (SeededGridSource(trial, k), ExplicitGridSource(sample, trial % 2)):
+            got = grid_find_witness(grid, target, 6)
+            assert got == _grid_witness_by_shell_words(grid, target, 6)
+            found += got is not None
+    assert 0 < found < 16
+
+
+def test_grid_find_witness_reports_a_late_witness():
+    target = ClopenSet(4, shell_words(2, 2, ["1011", "0000"]))
+    grid = SeededGridSource(7, 2)
+    assert grid_find_witness(grid, target, 4000) == 67
+    assert _grid_witness_by_shell_words(grid, target, 67) == 67
+    assert grid_find_witness(grid, target, 66) is None
 
 
 def test_grid_kurtz_single_stage():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shiftrec.bitseq import (
     EventuallyPeriodicSource,
@@ -14,6 +16,7 @@ from shiftrec.recurrence import (
     batch_statistics,
     find_witness,
     is_witness,
+    least_witness,
     recurrence_profile,
 )
 
@@ -178,3 +181,62 @@ def test_csv_rows_fixed_columns():
     rows = summary.to_csv_rows()
     assert rows[0] == "seed,k,n_max,witness"
     assert rows[1].startswith("1,2,50,")
+
+
+def test_least_witness_validation():
+    """The same checks as RecurrenceQuery: k >= 1 and n_max >= 1."""
+    for k, n_max in ((0, 10), (1, 0), (-1, 5)):
+        with pytest.raises(ValueError, match="k and n_max must be positive integers"):
+            least_witness(constant_source(1), P_ONES, k, n_max)
+
+
+@st.composite
+def stage_sets(draw):
+    """A co-enumeration's stages: a few words of length t at stage t."""
+    stages = draw(st.dictionaries(st.integers(1, 6), st.just(None), max_size=3))
+    return {
+        t: {Word(v, t) for v in draw(st.sets(st.integers(0, (1 << t) - 1), max_size=3))}
+        for t in stages
+    }
+
+
+@given(stage_sets(), st.integers(0, 8), st.data())
+def test_pi01_contains_value_matches_contains_word(stages, budget, data):
+    target = Pi01Target(StagedCoEnumeration(stages), budget)
+    value = data.draw(st.integers(0, (1 << budget) - 1))
+    assert target.contains_value(value) == target.contains_word(Word(value, budget))
+
+
+@st.composite
+def clopen_targets(draw):
+    g = draw(st.integers(1, 3))
+    values = draw(st.sets(st.integers(0, (1 << g) - 1), min_size=1))
+    return ClopenSet(g, {Word(v, g) for v in values})
+
+
+@given(
+    st.integers(0, 2**63),
+    st.one_of(clopen_targets(), stage_sets().map(lambda s: Pi01Target(StagedCoEnumeration(s), 4))),
+    st.integers(1, 4),
+    st.integers(1, 40),
+)
+def test_least_witness_is_the_first_is_witness(seed, target, k, n_max):
+    src = PseudorandomSource(seed)
+    brute = next((n for n in range(1, n_max + 1) if is_witness(src, target, k, n)), None)
+    assert least_witness(src, target, k, n_max) == brute
+    if isinstance(target, ClopenSet):
+        # the same scan read from raw bits and the target's bit strings
+        members = {str(w) for w in target.words}
+        g = target.granularity
+        raw = next(
+            (
+                n
+                for n in range(1, n_max + 1)
+                if all(
+                    "".join(str(src.bit(i * n + j)) for j in range(g)) in members
+                    for i in range(1, k + 1)
+                )
+            ),
+            None,
+        )
+        assert brute == raw

@@ -8,6 +8,7 @@ from shiftrec import rotation
 from shiftrec.errors import DepthExhaustedError, PrecisionError
 from shiftrec.rotation import (
     _MAX_PRECISION,
+    ReturnReport,
     RotationSystem,
     cf_accelerated_return,
     circle_norm,
@@ -71,8 +72,8 @@ def test_golden_scan_matches_float_oracle():
 
 
 def test_scan_resumes_at_the_undecided_n(monkeypatch):
-    """A doubling re-decides only the candidate it was raised for: the scan
-    makes one approximation per n plus one per doubling (2 -> 16 is three)."""
+    """A doubling re-decides only the candidate it was raised for, and the
+    scan sets up each precision level once: 2 -> 16 is four approximations."""
     calls = []
     approx = RotationSystem.approx
     monkeypatch.setattr(
@@ -80,7 +81,7 @@ def test_scan_resumes_at_the_undecided_n(monkeypatch):
     )
     report = find_multi_return(RotationSystem.golden(), 2, Fraction(1, 20), 400, precision=2)
     assert (report.n, report.precision) == (21, 16)
-    assert len(calls) == report.n + 3
+    assert calls == [2, 4, 8, 16]
 
 
 def test_escalation_stops_at_the_precision_cap(monkeypatch):
@@ -199,45 +200,58 @@ def test_alpha_parsing():
         RotationSystem("pi")
 
 
-def _fraction_certified_distances(system, k, n, epsilon, precision):
-    """Reference for rotation._certified_distances: the same decisions made on
-    Fractions, one circle_norm per multiple."""
-    while True:
-        value, err = system.approx(precision)
-        dists = []
-        for i in range(1, k + 1):
-            d = circle_norm(i * n * value)
-            slack = i * n * err
-            if d + slack < epsilon:
-                dists.append(d)
-            elif d - slack >= epsilon:
-                return None, precision
-            else:
+def _fraction_scan(system, k, epsilon, candidates, precision):
+    """Reference scan on Fractions, one circle_norm per multiple and one
+    approximation per candidate: the first candidate n certified within
+    epsilon, its distances and the precision reached."""
+    for n in candidates:
+        while True:
+            value, err = system.approx(precision)
+            dists, verdict = [], "in"
+            for i in range(1, k + 1):
+                d = circle_norm(i * n * value)
+                slack = i * n * err
+                if d + slack < epsilon:
+                    dists.append(d)
+                    continue
+                verdict = "out" if d - slack >= epsilon else "undecided"
                 break
-        else:
-            return tuple(dists), precision
-        precision *= 2
-        if precision > _MAX_PRECISION:
-            raise PrecisionError(f"distance for n={n}, i={i} undecidable within error {slack}")
+            if verdict == "in":
+                return n, tuple(dists), precision
+            if verdict == "out":
+                break
+            precision *= 2
+            if precision > _MAX_PRECISION:
+                raise PrecisionError(f"n={n}, i={i} undecidable within error {slack}")
+    return None, (), precision
+
+
+def _reference_reports(system, k, epsilon, precision):
+    """find_multi_return and cf_accelerated_return, recomputed with _fraction_scan."""
+    prec = system.precision if precision is None else precision
+    ceiling = dirichlet_ceiling(k, epsilon)
+    n, dists, prec_scan = _fraction_scan(system, k, epsilon, range(1, ceiling + 1), prec)
+    scan = None if n is None else ReturnReport(n, dists, epsilon, ceiling, prec_scan)
+    for _, q in system.convergents(256):
+        if q >= 1:
+            n, dists, prec = _fraction_scan(system, k, epsilon, [q], prec)
+            if n is not None:
+                return scan, ReturnReport(q, dists, epsilon, q, prec)
+    raise AssertionError("no convergent denominator certified a return")
 
 
 @pytest.mark.parametrize("alpha", ["golden", "47/1024", "cf:1,2,3"])
 @pytest.mark.parametrize("precision", [None, 2])
-def test_integer_scan_matches_fraction_reference(alpha, precision, monkeypatch):
-    """Same n, distances and precision as the Fraction scan, for every k and epsilon."""
+def test_integer_scan_matches_fraction_reference(alpha, precision):
+    """Same n, distances and precision as a Fraction scan written out per n,
+    for every k and epsilon."""
     cases = [
         (k, Fraction(1, q)) for k in (1, 2, 3, 4) for q in (20, 100, 997)
     ]
-
-    def scan():
+    for k, eps in cases:
         system = RotationSystem(alpha)
-        return [
-            find_multi_return(system, k, eps, dirichlet_ceiling(k, eps), precision)
-            for k, eps in cases
-        ] + [cf_accelerated_return(system, k, eps, precision=precision) for k, eps in cases]
-
-    integer = scan()
-    monkeypatch.setattr(rotation, "_certified_distances", _fraction_certified_distances)
-    reference = scan()
-    assert all(r is not None for r in reference)
-    assert integer == reference
+        scan = find_multi_return(system, k, eps, dirichlet_ceiling(k, eps), precision)
+        cf = cf_accelerated_return(system, k, eps, precision=precision)
+        reference = _reference_reports(RotationSystem(alpha), k, eps, precision)
+        assert reference[0] is not None
+        assert (scan, cf) == reference, (k, eps)
