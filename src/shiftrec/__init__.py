@@ -36,7 +36,6 @@ from .kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
 from .measure import (
     ClopenSet,
     CubeSet,
-    PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,
     measure_open,

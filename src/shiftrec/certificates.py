@@ -21,7 +21,7 @@ from typing import Any, Iterable
 from .bitseq import Word, word_strings, words_from_strings
 from .dyadic import D_ONE, Dyadic
 from .errors import BoundViolationError
-from .measure import CubeSet, measure_open, prefix_reduce, sorted_words
+from .measure import CubeSet, prefix_reduce, sorted_words
 
 # the C implementation whenever the interpreter has one
 _escape = json.encoder.encode_basestring_ascii
@@ -30,6 +30,8 @@ KINDS = ("kurtz-stage", "schnorr-error", "ml-Cr", "ml-Gm", "ml-refined")
 
 # A cover standing for more words than this is written as cubes.
 CUBE_WORDS = 4096
+# The fields a certificate object must have besides its words or cubes.
+_FIELDS = ("kind", "parameters", "exact_measure", "required_bound", "stage_budget")
 # Most cube visits verify makes while splitting a cover to look for overlaps.
 OVERLAP_STEPS = 1 << 22
 
@@ -79,6 +81,9 @@ class TestCertificate:
     def from_json_dict(cls, data: dict) -> "TestCertificate":
         if not isinstance(data, dict) or ("words" in data) == ("cubes" in data):
             raise ValueError("a certificate must be a JSON object with either words or cubes")
+        missing = [name for name in _FIELDS if name not in data]
+        if missing:
+            raise ValueError(f"a certificate has no {', '.join(missing)} field")
         encoding = "cubes" if "cubes" in data else "words"
         if not isinstance(data[encoding], list):
             raise ValueError(f"a certificate's {encoding} must be a list")
@@ -186,9 +191,9 @@ def verify_certificate(cert: TestCertificate) -> list[str]:
     else:
         words = frozenset(cert.words)
         reduced = prefix_reduce(words)
-        if len(reduced) != len(words):
+        if len(reduced.cubes) != len(words):
             problems.append("word set is not prefix-free")
-        recomputed = measure_open(reduced)
+        recomputed = reduced.measure()
         lengths = map(itemgetter(1), words)
     # A stage-t word of a k-dimensional certificate has length t**k.
     longest = cert.stage_budget ** int(cert.parameters.get("dimension", 1))

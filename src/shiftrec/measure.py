@@ -1,12 +1,12 @@
 """Exact uniform measures of open sets given by word sets and cube covers.
 
-An open set is presented by the words whose cylinders it unions.  After
-prefix reduction the cylinders are pairwise disjoint, so every measure here
-is an exact dyadic sum of powers of two.  A :class:`CubeSet` presents one as
-pairwise disjoint ``0/1/*`` cubes instead, which stand for exponentially
-many words each.  Effectively closed sets are kept as staged
-co-enumerations of their complements, the convention being that a word
-delivered at stage ``t`` has length exactly ``t``.
+An open set is presented by the words whose cylinders it unions, and held
+as a :class:`CubeSet`: pairwise disjoint ``0/1/*`` cubes, which stand for
+exponentially many words each.  Prefix reduction turns words into such a
+cover, one fully cared cube per prefix-minimal word, so every measure here
+is an exact dyadic sum of powers of two.  Effectively closed sets are kept
+as staged co-enumerations of their complements, the convention being that
+a word delivered at stage ``t`` has length exactly ``t``.
 
 Grid samples of dimension ``k`` are words too: a size-``n`` cube is read in
 shell order (see :mod:`shiftrec.multidim`), which makes it a word of length
@@ -16,11 +16,11 @@ here therefore serves grids unchanged.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .bitseq import Word, all_words, words_from_strings
 from .dyadic import D_ZERO, Dyadic
@@ -32,104 +32,35 @@ _WordIter = Iterable[Word]
 def is_prefix_free(words: _WordIter) -> bool:
     """No member is a proper prefix of another: reduction keeps every word."""
     pool = frozenset(words)
-    return len(prefix_reduce(pool)) == len(pool)
+    return len(prefix_reduce(pool).cubes) == len(pool)
 
 
-def uncovered(
-    values: Collection[int], length: int, table: Mapping[int, set[int]]
-) -> Collection[int]:
-    """The values of length-``length`` words that no word of ``table`` (word
-    length -> the values of the words of that length) is a prefix of."""
-    for shorter, prefixes in table.items():
-        if shorter <= length and values:
-            values = [v for v in values if v >> (length - shorter) not in prefixes]
-    return values
+def prefix_reduce(words: _WordIter) -> "CubeSet":
+    """Keep exactly the prefix-minimal members, one fully cared cube each;
+    the open set is unchanged, and the cover's ``len`` is the kept words'
+    number.
 
-
-def _value_buckets(words: _WordIter) -> dict[int, list[int]]:
-    """The words' values bucketed by length, shortest first."""
-    buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for value, length in words:
-        buckets[length].append(value)
-    return dict(sorted(buckets.items()))
-
-
-class PrefixFreeWordSet:
-    """A word set in which no member is a proper prefix of another."""
-
-    __slots__ = ("words", "_table")
-
-    def __init__(self, words: _WordIter, *, _validated: bool = False):
-        ws = frozenset(words)
-        if not _validated and not is_prefix_free(ws):
-            raise ValueError("word set is not prefix-free")
-        object.__setattr__(self, "words", ws)
-        object.__setattr__(self, "_table", None)  # values by length, built on first use
-
-    def values_by_length(self) -> dict[int, set[int]]:
-        """The members' values by word length, built on first use; read only."""
-        if self._table is None:
-            table = {n: set(vs) for n, vs in _value_buckets(self.words).items()}
-            object.__setattr__(self, "_table", table)
-        return self._table
-
-    def covers(self, word: Word) -> bool:
-        """Some member is a prefix of ``word``: its cylinder lies in the open set."""
-        return not uncovered((word.value,), word.length, self.values_by_length())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrefixFreeWordSet is immutable")
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.words
-
-    def __eq__(self, other):
-        if isinstance(other, PrefixFreeWordSet):
-            return self.words == other.words
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.words)
-
-    def __repr__(self):
-        return f"PrefixFreeWordSet({sorted_words(self.words)!r})"
-
-
-def prefix_reduce(words: _WordIter) -> PrefixFreeWordSet:
-    """Keep exactly the prefix-minimal members; the open set is unchanged.
-
-    The words are bucketed by length once.  Shortest first, a bucket keeps
-    the values that no kept word covers.
+    The words' values are bucketed by length once.  Shortest first, a
+    bucket keeps the values that no kept word is a prefix of.
     """
-    pool = frozenset(words)
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for value, length in frozenset(words):
+        buckets[length].append(value)
     kept: dict[int, set[int]] = {}
-    for length, values in _value_buckets(pool).items():
-        values = uncovered(values, length, kept)
+    for length, values in sorted(buckets.items()):
+        for shorter, prefixes in kept.items():
+            if values:
+                values = [v for v in values if v >> (length - shorter) not in prefixes]
         if values:
             kept[length] = set(values)
-    if sum(map(len, kept.values())) == len(pool):
-        return PrefixFreeWordSet(pool, _validated=True)
-    return PrefixFreeWordSet(
-        (Word(v, length) for length, values in kept.items() for v in values),
-        _validated=True,
+    return CubeSet(
+        (length, (1 << length) - 1, v) for length, values in kept.items() for v in values
     )
 
 
-def measure_open(words: _WordIter | PrefixFreeWordSet) -> Dyadic:
+def measure_open(words: _WordIter) -> Dyadic:
     """Uniform measure of the open set generated by ``words``, exactly."""
-    if not isinstance(words, PrefixFreeWordSet):
-        words = prefix_reduce(words)
-    per_length = Counter(map(itemgetter(1), words))
-    if not per_length:
-        return D_ZERO
-    top = max(per_length)
-    return Dyadic(sum(count << (top - n) for n, count in per_length.items()), top)
+    return prefix_reduce(words).measure()
 
 
 # A cube is ``(length, care, value)``: the bits set in ``care`` are fixed to
@@ -236,6 +167,19 @@ def sharp_cover(
                 others = [o for o in others if not o[0] & bit or not (o[1] ^ b_value) & bit]
             parts += reversed(kids)
     return pieces
+
+
+def meet_cover(cube: Cube, cubes: Iterable[Cube]) -> list[Cube]:
+    """The words of ``cube`` inside some cylinder of ``cubes``, which are no
+    longer, as pairwise disjoint cubes of its length: the part of ``cube``
+    that ``sharp_cover([cube], cubes)`` leaves out."""
+    n, care, value = cube
+    meets = []
+    for m, c_care, c_value in cubes:
+        c_care, c_value = c_care << (n - m), c_value << (n - m)
+        if not care & c_care & (value ^ c_value):
+            meets.append((n, care | c_care, value | c_value))
+    return sharp_cover(meets, [])
 
 
 # Most bits the sharps that build a survivor or error cover may visit, counted

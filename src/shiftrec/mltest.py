@@ -44,14 +44,16 @@ from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from .errors import BudgetExceededError, InapplicableBoundError
 from .measure import (
+    Cube,
     CubeSet,
-    PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,
     measure_open,
-    prefix_reduce,
+    meet_cover,
     sharp_cover,
+    sorted_words,
     split_tail,
+    union_cover,
 )
 
 # Most consecutive nonempty levels counted for the escape sets.
@@ -61,8 +63,9 @@ _LEVEL_CAP = 64
 class MLConstruction:
     """Stagewise enumeration of the level sets for one complement and k.
 
-    ``candidate_budget`` caps the child cubes and sharp pieces of a level;
-    the escape sets and refined levels still use it to cap a level's words.
+    ``candidate_budget`` caps the cubes of one build: the child cubes and
+    sharp pieces of a level, the pieces the escape sets split the chain
+    into, or the pieces of a refined level.
     """
 
     def __init__(
@@ -83,14 +86,22 @@ class MLConstruction:
         # a stage-t entry has length t**dimension
         self._stage_of_length = {t**coenum.dimension: t for t in range(stage_max + 1)}
         self._levels = [CubeSet.from_words((EMPTY_WORD,))]
+        self._children: list[dict[Cube, list[Cube]]] = []
+        self._events: dict[tuple, list[Cube]] = {}
 
     def level(self, r: int) -> CubeSet:
         """Level r, truncated at the stage budget."""
         if r < 0:
             raise ValueError("level index must be nonnegative")
         while len(self._levels) <= r:
-            self._levels.append(self._build_level(self._levels[-1]))
+            self._children.append(self._build_level(self._levels[-1]))
+            self._levels.append(CubeSet(chain.from_iterable(self._children[-1].values())))
         return self._levels[r]
+
+    def children(self, r: int) -> dict[Cube, list[Cube]]:
+        """Level r+1's cubes by their parent, each cube of level r; read only."""
+        self.level(r + 1)
+        return self._children[r]
 
     def _first_stage(self, s: int) -> int:
         """Earliest stage at which a child of a stage-s parent can enter."""
@@ -105,7 +116,31 @@ class MLConstruction:
         start = self._offset(s, i)
         return range(start, start + tau.length)
 
-    def _build_level(self, parents: CubeSet) -> CubeSet:
+    def _block_cube(self, s: int, i: int, length: int, tau: Word) -> Cube | None:
+        """The length-``length`` words whose i-th shifted block past a stage-s
+        parent extends tau, or None when that block does not fit in them."""
+        at = self._tau_positions(s, i, self._stage_of_length[length], tau)
+        if max(at, default=-1) >= length:
+            return None
+        care = sum(1 << (length - 1 - p) for p in at)
+        return length, care, sum(b << (length - 1 - p) for p, b in zip(at, tau.bits()))
+
+    def block_event(self, parent_length: int, length: int, words: frozenset[Word]) -> list[Cube]:
+        """The length-``length`` words some shifted block of which, past a
+        parent of ``parent_length``, extends one of ``words``: a union of
+        cubes, built once per lengths and word set; read only."""
+        key = (parent_length, length, words)
+        if key not in self._events:
+            s = self._stage_of_length[parent_length]
+            cubes = (
+                self._block_cube(s, i, length, tau)
+                for tau in sorted_words(words)
+                for i in range(1, self.k + 1)
+            )
+            self._events[key] = [cube for cube in cubes if cube is not None]
+        return self._events[key]
+
+    def _build_level(self, parents: CubeSet) -> dict[Cube, list[Cube]]:
         # the parents of one length share a stage and are extended together
         groups: defaultdict[int, list] = defaultdict(list)
         for cube in parents.cubes:
@@ -137,11 +172,9 @@ class MLConstruction:
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
-                        at = self._tau_positions(s, i, t, tau)
-                        care = sum(1 << (length - 1 - p) for p in at)
+                        _, care, fixed = self._block_cube(s, i, length, tau)
                         if care >> pad:
                             raise ValueError("a witnessing block overlaps its parent")
-                        fixed = sum(b << (length - 1 - p) for p, b in zip(at, tau.bits()))
                         blocks.append((care, fixed))
                 if not blocks:
                     continue
@@ -159,7 +192,7 @@ class MLConstruction:
                     if generated > self.candidate_budget:
                         raise BudgetExceededError(f"level exceeded {self.candidate_budget} cubes")
                     entered[parent] += pieces
-        return CubeSet(chain.from_iterable(entered.values()))
+        return entered
 
     def levels_until_empty(self) -> int:
         """Number of consecutive nonempty levels reachable within the budget."""
@@ -193,11 +226,6 @@ def ml_measure_bound(cert: TestCertificate, q: Dyadic, r: int) -> bool:
     return cert.exact_measure <= q**r
 
 
-def _block_covered(words: PrefixFreeWordSet, eta: Word, s: int, k: int) -> bool:
-    """Some shifted block ``eta[s*i:]``, ``1 <= i <= k``, extends a member of ``words``."""
-    return any(words.covers(eta.drop(s * i)) for i in range(1, k + 1) if s * i <= eta.length)
-
-
 def ml_enumerate_G(
     construction: MLConstruction, head: frozenset[Word], head_max_len: int, m_max: int
 ) -> list[TestCertificate]:
@@ -206,10 +234,12 @@ def ml_enumerate_G(
 
     A hit is a chain stage ``s > head_max_len`` (the word's length-s prefix
     is itself a chain member) at which some block ``word[s*i : s*i+|d|]``
-    equals a head word ``d``.  Hits do not depend on m, so each chain word's
-    hits are counted once.  The words are prefix-minimal; the measure
-    decays like ``(1 - v**k)**m`` where ``v`` is the measure outside the
-    head's open set.
+    equals a head word ``d``.  The words of a level cube share their chain
+    ancestors, so each cube is split, one ancestor length at a time, into
+    the pieces inside and outside that length's hit event, and each piece
+    counts its hits once.  G_m is the union cover of the pieces with at
+    least m hits; its measure decays like ``(1 - v**k)**m`` where ``v`` is
+    the measure outside the head's open set.
 
     The decay bound relies on the standing hypotheses of the construction:
     the complement enumeration is prefix-free (so a block cannot witness a
@@ -224,33 +254,38 @@ def ml_enumerate_G(
         raise ValueError("escape sets require a prefix-free complement enumeration")
     if construction.q >= k:  # q is k times the complement's measure
         raise ValueError("escape sets require a target of positive measure")
-    budget = construction.candidate_budget
-    chain_words = frozenset().union(
-        *(construction.level(r).expand(budget) for r in range(construction.levels_until_empty()))
-    )
-    stages = sorted({w.length for w in chain_words if w.length > head_max_len})
-    head_set = prefix_reduce(head)
-
-    def hits(word: Word) -> int:
-        return sum(
-            1
-            for s in stages
-            if s < word.length
-            and word.take(s) in chain_words
-            and _block_covered(head_set, word, s, k)
-        )
-
-    hit_counts = [(w, hits(w)) for w in chain_words]
-    decay = D_ONE - (D_ONE - measure_open(head_set)) ** k
+    head, budget = frozenset(head), construction.candidate_budget
+    pieces: list[tuple[Cube, int]] = []  # the chain split by hit count
+    # each cube of the current level, with its ancestors' lengths above head_max_len
+    ancestry = {cube: () for cube in construction.level(0).cubes}
+    levels = construction.levels_until_empty()
+    for r in range(levels):
+        deeper = {}
+        for cube, lengths in ancestry.items():
+            split = [(cube, 0)]
+            for s in lengths:
+                event = construction.block_event(s, cube[0], head)
+                split = [
+                    (piece, hits + 1) for part, hits in split for piece in meet_cover(part, event)
+                ] + [(piece, hits) for part, hits in split for piece in sharp_cover([part], event)]
+            pieces += split
+            if len(pieces) > budget:
+                raise BudgetExceededError(f"escape sets exceeded {budget} cubes")
+            if r + 1 < levels:
+                if cube[0] > head_max_len:
+                    lengths += (cube[0],)
+                deeper.update(dict.fromkeys(construction.children(r)[cube], lengths))
+        ancestry = deeper
+    decay = D_ONE - (D_ONE - measure_open(head)) ** k
     certs = []
     for m in range(m_max + 1):
-        words = prefix_reduce(w for w, h in hit_counts if h >= m)
+        cover = CubeSet(union_cover(piece for piece, hits in pieces if hits >= m))
         certs.append(
             new_certificate(
                 kind="ml-Gm",
                 parameters={"k": k, "m": m, "head_max_len": head_max_len},
-                words=words,
-                exact_measure=measure_open(words),
+                words=cover,
+                exact_measure=cover.measure(),
                 required_bound=decay**m,
                 stage_budget=construction.stage_max,
             )
@@ -261,7 +296,7 @@ def ml_enumerate_G(
 def ml_escape_level(prefix: Word, g_certs: list[TestCertificate]) -> int | None:
     """Least m whose escape set contains no prefix of the given word."""
     for cert in sorted(g_certs, key=lambda c: c.parameters["m"]):
-        if not prefix_reduce(cert.words).covers(prefix):
+        if not cert.cover.covers(prefix):
             return cert.parameters["m"]
     return None
 
@@ -274,41 +309,44 @@ def ml_refined_levels(
 ) -> list[TestCertificate]:
     """Refined levels from ``base_r``: chain steps must be witnessed by the tail.
 
-    The refined level at ``u = base_r`` is the plain level; deeper levels keep
-    only words whose witnessing blocks extend tail words (never head words).
+    The refined level at ``u = base_r`` is the plain level; below it, each
+    level-u cube is cut down to the refined pieces of its parent and to the
+    words some block of which, at the parent's length, extends a tail word.
     Each step multiplies the measure bound by ``q = k * (tail measure)``, so
     the certificate for level u carries the bound ``q**(u - base_r)``.
     """
     if u_max < base_r:
         raise ValueError("u_max must be at least base_r")
     k = construction.k
-    tail = prefix_reduce(tail_coenum.cumulative(construction.stage_max))
+    tail = tail_coenum.cumulative(construction.stage_max)
     q = k * measure_open(tail)
     if q >= D_ONE:
         raise InapplicableBoundError(f"tail is not light enough: q = {q}")
 
     certs: list[TestCertificate] = []
     budget = construction.candidate_budget
-    current = PrefixFreeWordSet(construction.level(base_r).expand(budget), _validated=True)
+    # each cube of level u with its refined pieces, when it has some
+    current = {cube: [cube] for cube in construction.level(base_r).cubes}
     for u in range(base_r, u_max + 1):
         if u > base_r:
-            # level u - 1 is prefix-free, so a word of current that is a
-            # proper prefix of eta is eta's parent
-            lengths = sorted(current.values_by_length())
-            kept = []
-            for eta in construction.level(u).expand(budget):
-                s = next(
-                    (s for s in lengths if s < eta.length and eta.take(s) in current), None
-                )
-                if s is not None and _block_covered(tail, eta, s, k):
-                    kept.append(eta)
-            current = PrefixFreeWordSet(kept, _validated=True)  # a subset of level u
+            children, deeper, generated = construction.children(u - 1), {}, 0
+            for parent, kept in current.items():
+                for child in children[parent]:
+                    event = construction.block_event(parent[0], child[0], tail)
+                    refined = [p for part in meet_cover(child, kept) for p in meet_cover(part, event)]
+                    generated += len(refined)
+                    if generated > budget:
+                        raise BudgetExceededError(f"refined level exceeded {budget} cubes")
+                    if refined:
+                        deeper[child] = refined
+            current = deeper
+        cover = CubeSet(chain.from_iterable(current.values()))  # a subset of level u
         certs.append(
             new_certificate(
                 kind="ml-refined",
                 parameters={"k": k, "u": u, "base_r": base_r, "q": str(q)},
-                words=current,
-                exact_measure=measure_open(current),
+                words=cover,
+                exact_measure=cover.measure(),
                 required_bound=q ** (u - base_r),
                 stage_budget=construction.stage_max,
             )

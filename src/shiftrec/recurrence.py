@@ -32,15 +32,11 @@ class Pi01Target:
         object.__setattr__(self, "stage_budget", stage_budget)
         object.__setattr__(self, "complement", complement)
         # (bits dropped from a window, complement values of that shorter length)
-        object.__setattr__(
-            self,
-            "_by_drop",
-            tuple(
-                (stage_budget - shorter, values)
-                for shorter, values in complement.values_by_length().items()
-                if shorter <= stage_budget
-            ),
-        )
+        by_drop: dict[int, set[int]] = {}
+        for shorter, _, value in complement.cubes:
+            if shorter <= stage_budget:
+                by_drop.setdefault(stage_budget - shorter, set()).add(value)
+        object.__setattr__(self, "_by_drop", tuple(sorted(by_drop.items(), reverse=True)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Pi01Target is immutable")

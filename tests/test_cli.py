@@ -701,6 +701,15 @@ def test_verify_rejects_malformed_certificate(argv, edit, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field", ["kind", "parameters", "exact_measure", "required_bound", "stage_budget"]
+)
+def test_verify_names_a_missing_field(field, tmp_path, capsys):
+    path = _one_certificate(tmp_path, ML_ARGV, lambda c: c.pop(field))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: a certificate has no {field} field\n"
+
+
 @pytest.mark.parametrize("text", ["5", '{"certificates": 5}'], ids=["number", "list-not-list"])
 def test_verify_rejects_malformed_certificate_file(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -945,6 +954,23 @@ def test_parity_target_over_the_budget_exits_2_quickly(capsys):
     assert main(["kurtz", "--clopen", odd, "--k", "2", "--t-max", "2"]) == 2
     assert "error:" in capsys.readouterr().err
     assert time.perf_counter() - start < 20
+
+
+def test_split_path_escape_sets_are_cubes(tmp_path, capsys):
+    """At stage budget 32 the split path's escape sets and refined levels are
+    built on the level covers, never as words: G_1 is 20 cubes for
+    25,199,328 words, and the whole file verifies."""
+    (tmp_path / "P.txt").write_text("stage 1: 0\nstage 3: 111\nstage 6: 110110\n")
+    path = tmp_path / "p.json"
+    assert main(["mltest", "--class-file", str(tmp_path / "P.txt"), "--k", "2", "--r", "3",
+                 "--stage-max", "32", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["path"] == "split" and data["all_pass"] is True
+    g = {c["parameters"]["m"]: c for c in data["g_certificates"]}
+    assert len(g[1]["cubes"]) == 20 and "words" not in g[1]
+    assert (g[1]["exact_measure"], g[2]["exact_measure"]) == ("231/2^9", "9/2^7")
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0 and out.count(": ok\n") == 12
 
 
 def test_level_budget_counts_cubes(tmp_path, capsys):

@@ -12,10 +12,10 @@ from shiftrec.errors import BudgetExceededError, NoCertificateError
 from shiftrec.measure import (
     ClopenSet,
     CubeSet,
-    PrefixFreeWordSet,
     StagedCoEnumeration,
     is_prefix_free,
     measure_open,
+    meet_cover,
     prefix_reduce,
     sharp,
     sharp_cover,
@@ -53,7 +53,7 @@ word_sets = st.lists(
 def test_prefix_reduction_matches_pairwise_oracle(ws):
     pool = set(ws)
     minimal = {w for w in pool if not any(u.is_proper_prefix_of(w) for u in pool)}
-    assert prefix_reduce(ws).words == minimal
+    assert prefix_reduce(ws) == CubeSet.from_words(minimal)
     assert is_prefix_free(ws) == (minimal == pool)
 
 
@@ -78,13 +78,6 @@ def test_covers_examples():
     assert not s.covers(EMPTY_WORD)
     assert prefix_reduce({EMPTY_WORD}).covers(EMPTY_WORD)
     assert not prefix_reduce(set()).covers(W("0"))
-
-
-def test_values_by_length_indexes_the_members():
-    s = prefix_reduce(words("0", "110", "111"))
-    assert s.values_by_length() == {1: {0b0}, 3: {0b110, 0b111}}
-    assert s.covers(W("1101")) and not s.covers(W("10"))
-    assert prefix_reduce(words("0", "01", "110")).values_by_length() == {1: {0b0}, 3: {0b110}}
 
 
 def test_measure_open_examples():
@@ -114,24 +107,20 @@ def test_measure_open_overlapping():
 )
 def test_reduce_preserves_measure(s):
     reduced = prefix_reduce(s)
-    assert measure_open(reduced) == measure_open(s)
-    assert is_prefix_free(reduced.words)
+    assert reduced.measure() == measure_open(s)
+    assert reduced.overlap(1 << 20) is None
+    assert len(reduced) == len(reduced.cubes) <= len(s)
     assert measure_open(s).as_fraction() == oracle_measure(s, 6)
 
 
 def test_prefix_reduce_examples():
-    assert prefix_reduce(words("0", "01")).words == words("0")
-    assert prefix_reduce({EMPTY_WORD, W("1")}).words == {EMPTY_WORD}
+    assert prefix_reduce(words("0", "01")) == CubeSet.from_strings(["0"])
+    assert prefix_reduce({EMPTY_WORD, W("1")}) == CubeSet.from_strings([""])
+    assert len(prefix_reduce(words("0", "01", "110"))) == 2
     # already reduced: pairwise scan oracle agrees
     s = words("00", "01", "1")
-    assert prefix_reduce(s).words == s
-    assert is_prefix_free(s)
-
-
-def test_prefix_free_set_validates():
-    with pytest.raises(ValueError):
-        PrefixFreeWordSet(words("0", "01"))
-    assert len(PrefixFreeWordSet(words("00", "01", "1"))) == 3
+    assert prefix_reduce(s) == CubeSet.from_words(s)
+    assert is_prefix_free(s) and not is_prefix_free(words("0", "01"))
 
 
 def test_clopen_complement_examples():
@@ -394,8 +383,21 @@ def test_union_cover_is_the_prefix_reduced_union(cube_list):
     kept = CubeSet(union_cover(cube_list))
     assert kept.overlap(1 << 20) is None
     union = prefix_reduce(w for c in cube_list for w in cube_words(c))
-    assert set(expansion(kept)) == set(union)
-    assert kept.measure() == measure_open(union)
+    assert expansion(kept) == expansion(union)
+    assert kept.measure() == union.measure()
+
+
+@given(cubes(), st.data())
+def test_meet_cover_is_the_part_sharp_cover_leaves_out(a, data):
+    event = data.draw(st.lists(cubes(max_length=a[0]), max_size=5))
+    inside = meet_cover(a, event)
+    outside = sharp_cover([a], event)
+    assert all(p[0] == a[0] for p in inside)
+    assert CubeSet(inside + outside).overlap(1 << 20) is None
+    assert {w for p in inside for w in cube_words(p)} == {
+        w for w in cube_words(a) if any(in_cylinder(c, w) for c in event)
+    }
+    assert CubeSet(inside + outside).measure() == CubeSet([a]).measure()
 
 
 def test_cover_budgets_count_visited_cubes(monkeypatch):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from shiftrec.bitseq import EMPTY_WORD, Word, constant_source
-from shiftrec.dyadic import D_ONE, Dyadic, half_power
+from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from shiftrec.errors import BudgetExceededError, InapplicableBoundError
 from shiftrec.measure import (
     StagedCoEnumeration,
@@ -84,7 +84,7 @@ def oracle_escape_sets(levels, head: set[str], n_bound: int, k: int, m: int):
     union: dict[str, int] = {}
     for lev in levels:
         union.update(lev)
-    qualifying = []
+    qualifying = set()
     for eta in union:
         hits = 0
         for s in range(n_bound + 1, len(eta)):
@@ -97,12 +97,35 @@ def oracle_escape_sets(levels, head: set[str], n_bound: int, k: int, m: int):
             ):
                 hits += 1
         if hits >= m:
-            qualifying.append(eta)
-    return {
-        w
-        for w in qualifying
-        if not any(o != w and w.startswith(o) for o in qualifying)
-    }
+            qualifying.add(eta)
+    return {w for w in qualifying if not any(w[:j] in qualifying for j in range(len(w)))}
+
+
+def oracle_refined_levels(levels, tail: set[str], k: int, base_r: int, u_max: int):
+    """Refined levels base_r .. u_max as string sets: a level-u word stays
+    when its parent is in refined level u-1 and some block at the parent's
+    length extends a tail word."""
+    current = set(levels[base_r])
+    refined = [current]
+    for u in range(base_r + 1, u_max + 1):
+        current = {
+            eta
+            for eta in levels[u]
+            for sigma in current
+            if eta.startswith(sigma)
+            and any(eta[len(sigma) * i :].startswith(d) for i in range(1, k + 1) for d in tail)
+        }
+        refined.append(current)
+    return refined
+
+
+def oracle_measure(words: set[str]) -> Fraction:
+    """The measure of a prefix-free string set."""
+    return sum((Fraction(1, 2 ** len(w)) for w in words), Fraction(0))
+
+
+def cert_strings(cert) -> set[str]:
+    return {str(w) for w in cert.cover.expand(1 << 20)}
 
 
 def compare_levels(coenum, k, r_max, stage_max):
@@ -118,6 +141,21 @@ B_SINGLE = StagedCoEnumeration({2: {W("11")}})
 B_ZERO = StagedCoEnumeration({1: {W("0")}})
 B_HEAVY = StagedCoEnumeration({1: {W("0")}, 2: {W("11")}})
 B_TWO = StagedCoEnumeration({2: {W("11")}, 4: {W("0000")}})
+B_THREE = StagedCoEnumeration({2: {W("10")}, 3: {W("011")}, 5: {W("00100")}})
+B_P = StagedCoEnumeration.from_text("stage 1: 0\nstage 3: 111\nstage 6: 110110\n")
+
+# (complement, k, stage budget) for the escape-set and refined-level oracles
+SPLIT_CASES = (
+    (B_HEAVY, 2, 12),
+    (B_HEAVY, 3, 9),  # the hit event of a cube can be more than one piece
+    (B_TWO, 1, 12),
+    (B_TWO, 4, 12),
+    (B_THREE, 2, 12),
+    (B_THREE, 3, 12),
+    (B_P, 1, 12),
+    (B_P, 2, 12),
+    (B_P, 3, 11),
+)
 
 
 def test_levels_match_oracle_single_word():
@@ -241,13 +279,61 @@ def test_non_recurrent_capture():
 
 
 def test_escape_sets_match_oracle():
-    con = MLConstruction(B_HEAVY, 2, 12)
     head, n_bound = split_tail(B_HEAVY, Fraction(1, 2))
     assert head == {W("0")} and n_bound == 1
-    levels = oracle_levels(stages_as_strings(B_HEAVY), 2, con.levels_until_empty(), 12)
-    for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 2)):
-        expect = oracle_escape_sets(levels, {"0"}, n_bound, 2, m)
-        assert {str(w) for w in cert.words} == expect
+    for coenum, k, stage_max in SPLIT_CASES:
+        con = MLConstruction(coenum, k, stage_max)
+        levels = oracle_levels(stages_as_strings(coenum), k, con.levels_until_empty(), stage_max)
+        # every head the stages cut off, the empty one included
+        for t in (0, *coenum.stages):
+            head = coenum.cumulative(t)
+            n_bound = max((w.length for w in head), default=0)
+            for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 3)):
+                expect = oracle_escape_sets(levels, {str(w) for w in head}, n_bound, k, m)
+                assert cert_strings(cert) == expect, (coenum, k, t, m)
+                assert cert.exact_measure.as_fraction() == oracle_measure(expect)
+    # Chains deep enough for two hits outgrow the literal level oracle; their
+    # levels are the construction's, which the level tests check against it.
+    for coenum, t in ((B_HEAVY, 1), (B_THREE, 2), (B_P, 1)):
+        con = MLConstruction(coenum, 1, 16)
+        levels = [{str(w): w.length for w in level_words(con, r)} for r in range(5)]
+        head = coenum.cumulative(t)
+        certs = ml_enumerate_G(con, head, t, 3)
+        assert certs[2].exact_measure > D_ZERO
+        for m, cert in enumerate(certs):
+            expect = oracle_escape_sets(levels, {str(w) for w in head}, t, 1, m)
+            assert cert_strings(cert) == expect, (coenum, t, m)
+            assert cert.exact_measure.as_fraction() == oracle_measure(expect)
+
+
+def test_refined_levels_match_oracle():
+    for coenum, k, stage_max in SPLIT_CASES:
+        con = MLConstruction(coenum, k, stage_max)
+        head, _ = split_tail(coenum, Fraction(1, k))
+        tail = coenum.remove_words(head)
+        tail_words = {str(w) for w in tail.words()}
+        levels = oracle_levels(stages_as_strings(coenum), k, 3, stage_max)
+        for base_r in (0, 1):
+            certs = ml_refined_levels(con, base_r, tail, 3)
+            expect = oracle_refined_levels(levels, tail_words, k, base_r, 3)
+            assert [c.parameters["u"] for c in certs] == list(range(base_r, 4))
+            for cert, words in zip(certs, expect, strict=True):
+                assert cert_strings(cert) == words, (coenum, k, base_r, cert.parameters["u"])
+                assert cert.exact_measure.as_fraction() == oracle_measure(words)
+
+
+def test_escape_and_refined_budgets_count_pieces():
+    con = MLConstruction(B_P, 2, 12)
+    head, n_bound = split_tail(B_P, Fraction(1, 2))
+    tail = B_P.remove_words(head)
+    certs = ml_enumerate_G(con, head, n_bound, 2)
+    refined = ml_refined_levels(con, 0, tail, 2)
+    assert certs[1].exact_measure > D_ZERO and len(refined[2].cover.cubes) > 1
+    con.candidate_budget = 1  # the levels are built; the pieces are more
+    with pytest.raises(BudgetExceededError):
+        ml_enumerate_G(con, head, n_bound, 2)
+    with pytest.raises(BudgetExceededError):
+        ml_refined_levels(con, 0, tail, 2)
 
 
 def test_escape_sets_reject_bad_hypotheses():

@@ -13,7 +13,13 @@ import pytest
 from shiftrec.bitseq import Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BudgetExceededError
-from shiftrec.measure import ClopenSet, StagedCoEnumeration, is_prefix_free, prefix_reduce
+from shiftrec.measure import (
+    ClopenSet,
+    CubeSet,
+    StagedCoEnumeration,
+    is_prefix_free,
+    prefix_reduce,
+)
 from shiftrec.multidim import (
     ArraySample,
     ExplicitGridSource,
@@ -194,7 +200,7 @@ def test_array_measure_against_refinement_oracle():
     assert small.is_prefix_of(other)
     assert not small.is_prefix_of(big)
     reduced = prefix_reduce(a.word() for a in (small, big, other))
-    assert reduced.words == {small.word(), big.word()}
+    assert reduced == CubeSet.from_words({small.word(), big.word()})
     got = array_measure_open({small, big, other})
     # refine to size 2: cylinders above 'small' are the 8 extensions
     refined_hits = sum(
