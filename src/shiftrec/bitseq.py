@@ -118,12 +118,46 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
 def _mix64(z: int) -> int:
     """splitmix64 finalizer (Steele/Lea/Flood constants), pure 64-bit integer ops."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_lanes(z: int, lanes: int) -> int:
+    """:func:`_mix64` of every lane of ``z`` at once, ``lanes`` masking 64-bit
+    lanes at least 128 bits apart: a lane times a 64-bit constant stays
+    below the next lane, and what a right shift brings down from the next
+    lane lands above the lane's 64 bits, where the mask clears it before
+    any product."""
+    z &= lanes
+    z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+    return z ^ (z >> 31) & lanes
+
+
+def pseudorandom_prefixes(seeds: Sequence[int], blocks: int) -> int:
+    """The first ``64 * blocks`` bits of each seed's :class:`PseudorandomSource`
+    joined in one int, stream bit ``i`` of ``seeds[s]`` at bit
+    ``64 * blocks * s + i``; ``blocks >= 2``.  Each block is mixed for every
+    seed at once (see :func:`_mix64_lanes`)."""
+    if blocks < 2:
+        raise ValueError("seeds are mixed in lanes of at least two blocks")
+    size = 8 * blocks
+    ones = int.from_bytes(b"\x01".ljust(size, b"\x00") * len(seeds), "little")
+    lanes = _MASK64 * ones
+    packed = int.from_bytes(
+        b"".join((int(seed) & _MASK64).to_bytes(size, "little") for seed in seeds), "little"
+    )
+    joined = 0
+    for j in range(blocks):
+        joined |= _mix64_lanes(packed + ((j + 1) * _GAMMA & _MASK64) * ones, lanes) << 64 * j
+    return joined
 
 
 def _check_window(start: int, length: int) -> None:
@@ -140,6 +174,9 @@ class SequenceSource:
     bit.  ``prefix(m)`` agrees with pointwise access by construction.
     """
 
+    #: the number of bits held, or None for an unbounded source
+    length: int | None = None
+
     def bit(self, index: int) -> int:
         raise NotImplementedError
 
@@ -150,6 +187,12 @@ class SequenceSource:
         for i in range(start, start + length):
             value = (value << 1) | self.bit(i)
         return value
+
+    def window_lsb(self, start: int, length: int) -> int:
+        """Bits ``start .. start+length`` with stream bit ``start + i`` at bit
+        ``i``: :meth:`window_value` read backwards."""
+        value = self.window_value(start, length)
+        return int(format(value, f"0{length}b")[::-1], 2) if length else 0
 
     def window(self, start: int, length: int) -> Word:
         """Bits ``start .. start+length`` as a word."""
@@ -171,7 +214,8 @@ class PseudorandomSource(SequenceSource):
     ``window_value`` reads a cache of the blocks, each stored bit-reversed so
     that stream bit ``i`` is bit ``63 - (i & 63)`` of entry ``i >> 6`` and
     a window is a shift and a mask of the joined entries.  The cache grows
-    on demand to the last block read; ``bit`` computes its block afresh.
+    on demand to the last block read; ``bit`` and ``window_lsb``, which
+    wants the blocks as they are, compute theirs afresh.
     """
 
     def __init__(self, seed: int):
@@ -209,6 +253,16 @@ class PseudorandomSource(SequenceSource):
                 value = (value << 64) | block
         # the joined entries end at bit (last + 1) * 64 of the stream
         return (value >> (-end & 63)) & ((1 << length) - 1)
+
+    def window_lsb(self, start: int, length: int) -> int:
+        """As :meth:`SequenceSource.window_lsb`: the blocks, uncached and
+        unreversed, joined least significant first."""
+        _check_window(start, length)
+        if not length:
+            return 0
+        blocks = range(start >> 6, ((start + length - 1) >> 6) + 1)
+        joined = b"".join(self._block(j).to_bytes(8, "little") for j in blocks)
+        return int.from_bytes(joined, "little") >> (start & 63) & ((1 << length) - 1)
 
     def window(self, start: int, length: int) -> Word:
         # defined here too: perfbench traces PseudorandomSource.window by name

@@ -222,6 +222,20 @@ def verify_certificate(cert: TestCertificate) -> list[str]:
     return problems
 
 
+class JsonRecords:
+    """JSON objects that share their keys, one tuple of values each:
+    :func:`json_text` writes them as a list of objects without building a
+    dict per record.  The keys are distinct and come sorted, as
+    ``sort_keys`` orders them; the values are numbers, booleans or None."""
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self, keys: tuple[str, ...], rows: tuple[tuple, ...]):
+        if not keys or any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("record keys must be one or more distinct keys, sorted")
+        self.keys, self.rows = keys, rows
+
+
 def json_text(obj) -> str:
     """The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
 
@@ -248,6 +262,14 @@ def _json_value(obj, newline: str) -> str:
         if not obj:
             return "[]"
         items = [_escape(v) if type(v) is str else _json_value(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    elif isinstance(obj, JsonRecords):
+        if not obj.rows:
+            return "[]"
+        field = inner + "  "
+        keys = ("," + field).join(_escape(key).replace("%", "%%") + ": %s" for key in obj.keys)
+        template = "{" + field + keys + inner + "}"
+        items = [template % tuple(map(_json_scalar, row)) for row in obj.rows]
         opening, closing = "[", "]"
     else:
         return _json_scalar(obj)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bitseq import ExplicitPrefixSource, FileSource, PseudorandomSource, Word
 from .certificates import (
@@ -43,6 +42,7 @@ from .rotation import (
     cf_accelerated_return,
     default_precision,
     dirichlet_ceiling,
+    exact_fraction,
     find_multi_return,
     verify_return,
 )
@@ -308,13 +308,13 @@ def _cmd_grid(args) -> int:
 def _cmd_rotate(args) -> int:
     alpha = args.alpha if args.alpha is not None else "golden"
     k = args.k if args.k is not None else 1
-    epsilon = Fraction(args.epsilon if args.epsilon is not None else "1/20")
+    epsilon = exact_fraction(args.epsilon if args.epsilon is not None else "1/20", "epsilon")
     precision = args.precision if args.precision is not None else default_precision()
     system = RotationSystem(alpha, precision)
     ceiling = dirichlet_ceiling(k, epsilon)
     n_max = args.n_max if args.n_max is not None else ceiling
-    scan = find_multi_return(system, k, epsilon, n_max)
     cf = cf_accelerated_return(system, k, epsilon)
+    scan = find_multi_return(system, k, epsilon, n_max, convergent=cf)
     payload = {
         "subcommand": "rotate",
         "alpha": system.describe(),

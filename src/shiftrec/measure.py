@@ -332,11 +332,12 @@ def sorted_words(words: _WordIter) -> tuple[Word, ...]:
 class ClopenSet:
     """A finite union of cylinders presented at one fixed granularity.
 
-    Membership is decided on packed values.  The members' values, and the
-    values of their prefixes of each length, are built on first use.
+    Membership is decided on packed values.  The members' values, the
+    values of their prefixes of each length and the gap words are built on
+    first use.
     """
 
-    __slots__ = ("granularity", "words", "_values", "_prefixes")
+    __slots__ = ("granularity", "words", "_values", "_prefixes", "_gaps")
 
     def __init__(self, granularity: int, words: _WordIter):
         if granularity < 1:
@@ -349,6 +350,7 @@ class ClopenSet:
         object.__setattr__(self, "words", ws)
         object.__setattr__(self, "_values", None)
         object.__setattr__(self, "_prefixes", None)
+        object.__setattr__(self, "_gaps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClopenSet is immutable")
@@ -407,6 +409,25 @@ class ClopenSet:
             table = tuple(frozenset(v >> (g - j) for v in values) for j in range(g))
             object.__setattr__(self, "_prefixes", table + (values,))
         return self._prefixes
+
+    def gap_words(self) -> tuple[str, ...]:
+        """The words whose cylinders make up the complement, as sorted bit
+        strings: each child of a member's prefix that is no member's prefix,
+        or the empty word when there are no members.  Read off
+        :meth:`prefix_values`, so never more than ``granularity`` words per
+        member."""
+        if self._gaps is None:
+            table = self.prefix_values()
+            gaps = [] if table[0] else [""]
+            for j, (parents, children) in enumerate(zip(table, table[1:])):
+                gaps += (
+                    format(c, f"0{j + 1}b")
+                    for v in parents
+                    for c in (2 * v, 2 * v + 1)
+                    if c not in children
+                )
+            object.__setattr__(self, "_gaps", tuple(sorted(gaps)))
+        return self._gaps
 
     def __eq__(self, other):
         if isinstance(other, ClopenSet):

@@ -391,7 +391,10 @@ def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | 
 
     Each shifted block is read cell by cell against the values of the
     target's prefixes, and abandoned at the first cell that no target word
-    agrees with up to there.
+    agrees with up to there.  The blocks are read from the last axis to the
+    first: a seeded grid hashes a last-axis cell once past the coordinates
+    it shares with the unshifted cube, an axis-0 cell once per coordinate,
+    and which block fails first cannot change the least ``n``.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -399,8 +402,9 @@ def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | 
     n1 = _cube_side(target.granularity, k)
     prefixes = target.prefix_values()[1:]
     block_bits = grid.block_bits
+    axes = range(k - 1, -1, -1)
     for n in range(1, n_max + 1):
-        if all(_spells_member(block_bits(axis, n, n1), prefixes) for axis in range(k)):
+        if all(_spells_member(block_bits(axis, n, n1), prefixes) for axis in axes):
             return n
     return None
 

@@ -11,18 +11,20 @@ the budget grows.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .bitseq import PseudorandomSource, SequenceSource, Word
+from .bitseq import PseudorandomSource, SequenceSource, Word, pseudorandom_prefixes
+from .certificates import JsonRecords
 from .measure import ClopenSet, StagedCoEnumeration, prefix_reduce
 
 
 class Pi01Target:
     """An effectively closed target, examined at a fixed stage budget."""
 
-    __slots__ = ("coenum", "stage_budget", "complement", "_by_drop")
+    __slots__ = ("coenum", "stage_budget", "complement", "_by_drop", "_gaps")
 
     def __init__(self, coenum: StagedCoEnumeration, stage_budget: int):
         if stage_budget < 0:
@@ -37,6 +39,8 @@ class Pi01Target:
             if shorter <= stage_budget:
                 by_drop.setdefault(stage_budget - shorter, set()).add(value)
         object.__setattr__(self, "_by_drop", tuple(sorted(by_drop.items(), reverse=True)))
+        gaps = (text for text in complement.strings() if len(text) <= stage_budget)
+        object.__setattr__(self, "_gaps", tuple(sorted(gaps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Pi01Target is immutable")
@@ -56,6 +60,11 @@ class Pi01Target:
             if value >> drop in values:
                 return False
         return True
+
+    def gap_words(self) -> tuple[str, ...]:
+        """The reduced complement's words, as sorted bit strings: a window lies
+        in the target when none of them is a prefix of it."""
+        return self._gaps
 
 
 Target = Union[ClopenSet, Pi01Target]
@@ -85,11 +94,114 @@ def is_witness(source: SequenceSource, target: Target, k: int, n: int) -> bool:
     return _first_witness(source, target, k, range(n, n + 1)) is not None
 
 
+_Walk = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
+def _gap_walk(gaps: Sequence[str]) -> _Walk:
+    """The sorted gap words as a walk down their trie: per word, the length
+    of its common prefix with the word before, then ``(j, bit)`` for each
+    later position ``j``."""
+    walk, previous = [], ""
+    for word in gaps:
+        common = len(os.path.commonprefix((word, previous)))
+        walk.append((common, tuple((j, int(word[j])) for j in range(common, len(word)))))
+        previous = word
+    return tuple(walk)
+
+
+def _membership_text(stream: int, length: int, granularity: int, walk: _Walk) -> str:
+    """Character ``p`` is ``"1"`` when the window of ``granularity`` bits at
+    ``p`` lies in the target, for every ``p`` whose window fits in the
+    ``length`` bits of ``stream`` (stream bit ``i`` at bit ``i``).
+
+    A gap word ``w`` matches at ``p`` where bit ``p`` of every
+    ``plane[w[j]] >> j`` is set, ``plane[1]`` being the stream and
+    ``plane[0]`` its complement; the windows in the target are those no gap
+    word matches at.  Each trie node ANDs one plane onto its parent's
+    matches (see :func:`_gap_walk`).
+    """
+    full = (1 << length) - 1
+    planes = (stream ^ full, stream)
+    hit, stack = 0, [full]
+    for common, steps in walk:
+        del stack[common + 1 :]
+        for j, bit in steps:
+            stack.append(stack[-1] & planes[bit] >> j)
+        hit |= stack[-1]
+    # the complement of hit below bit width, then a 1 at it, so that bin()
+    # keeps leading zeros; read back to front, past that 1 and "0b"
+    width = length - granularity + 1
+    return bin(hit & ((1 << width) - 1) ^ ((2 << width) - 1))[:2:-1]
+
+
+# bits of the first chunk read from a stream; a batch reads its seeds'
+# first chunks together, this many seeds at a time
+_FIRST_CHUNK = 128
+_BATCH_GROUP = 1024
+# candidates tested one at a time before the rest are tested together
+_SINGLY = 4
+
+
+def _first_passing(text: str, base: int, k: int, first: int, last: int) -> int | None:
+    """The least ``n`` in ``first..last`` whose characters at ``base + i*n``,
+    ``i = 1..k``, are all ``"1"``.
+
+    The first few candidates are one stepped slice each, since a witness
+    is often small.  After them, for each ``i`` the characters at
+    ``base + i*n`` are one stepped slice, read as a binary numeral (``n``
+    at bit ``last - n``); the AND of the ``k`` numerals holds the passing
+    ``n``, and the least is its highest bit.
+    """
+    ones = "1" * k
+    for n in range(first, min(first + _SINGLY, last + 1)):
+        if text[base + n : base + k * n + 1 : n] == ones:
+            return n
+    first += _SINGLY
+    if first > last:
+        return None
+    passing = -1
+    for i in range(1, k + 1):
+        passing &= int(text[base + i * first : base + i * last + 1 : i], 2)
+    return last + 1 - passing.bit_length() if passing else None
+
+
+def _scan(
+    source: SequenceSource, target: Target, k: int, n_max: int, walk: _Walk, first: int = 1
+) -> int | None:
+    """The least witness in ``first..n_max`` (see :func:`least_witness`)."""
+    g = target.granularity
+    need = k * n_max + g
+    if source.length is not None:
+        need = min(need, source.length)
+    stream, read = 0, 0
+    while read < need:
+        size = min(max(2 * read, _FIRST_CHUNK), need)
+        stream |= source.window_lsb(read, size - read) << read
+        read = size
+        last = min(n_max, (read - g) // k)
+        if last >= first:
+            n = _first_passing(_membership_text(stream, read, g, walk), 0, k, first, last)
+            if n is not None:
+                return n
+            first = last + 1
+    return _first_witness(source, target, k, range(first, n_max + 1))
+
+
 def least_witness(source: SequenceSource, target: Target, k: int, n_max: int) -> int | None:
-    """The least witness ``n <= n_max``, or None, by linear scan."""
+    """The least witness ``n <= n_max``, or None.
+
+    The stream is read in doubling chunks, 128 bits first, until the
+    ``k * n_max + granularity`` bits of the last candidate's windows are in.
+    After each chunk the windows' membership is one text (see
+    :func:`_membership_text`), and candidate ``n`` is a witness when the
+    characters at ``n, 2n, ..., kn`` are all ``"1"``.  A finite source is
+    read only as far as it goes; the candidates whose windows do not fit
+    are read window by window, so they raise InsufficientDataError as a
+    plain scan would.
+    """
     if k < 1 or n_max < 1:
         raise ValueError("k and n_max must be positive integers")
-    return _first_witness(source, target, k, range(1, n_max + 1))
+    return _scan(source, target, k, n_max, _gap_walk(target.gap_words()))
 
 
 @dataclass(frozen=True)
@@ -201,9 +313,7 @@ class BatchSummary:
             "fraction_with_witness": float(self.fraction_with_witness),
             "mean_witness": None if mean is None else float(mean),
             "histogram": {str(n): c for n, c in self.histogram().items()},
-            "rows": [
-                {"seed": seed, "witness": w} for seed, w in self.rows
-            ],
+            "rows": JsonRecords(("seed", "witness"), self.rows),
         }
 
 
@@ -214,5 +324,23 @@ def batch_statistics(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seed list must be nonempty")
-    rows = [(seed, least_witness(PseudorandomSource(seed), target, k, n_max)) for seed in seeds]
+    if k < 1 or n_max < 1:
+        raise ValueError("k and n_max must be positive integers")
+    g, walk = target.granularity, _gap_walk(target.gap_words())
+    # the candidates 1..last, whose windows fit in a first chunk, are tested
+    # for a group of seeds on one membership text of their joined first
+    # chunks; a seed's later candidates on its own
+    last = max(0, min(n_max, (_FIRST_CHUNK - g) // k))
+    rows = []
+    for lo in range(0, len(seeds), _BATCH_GROUP):
+        group = seeds[lo : lo + _BATCH_GROUP]
+        text = ""
+        if last:
+            joined = pseudorandom_prefixes(group, _FIRST_CHUNK // 64)
+            text = _membership_text(joined, _FIRST_CHUNK * len(group), g, walk)
+        for s, seed in enumerate(group):
+            n = _first_passing(text, _FIRST_CHUNK * s, k, 1, last)
+            if n is None and last < n_max:
+                n = _scan(PseudorandomSource(seed), target, k, n_max, walk, last + 1)
+            rows.append((seed, n))
     return BatchSummary(k, n_max, tuple(rows))

@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, takewhile
+from typing import Iterable
 
 from .errors import DepthExhaustedError, PrecisionError
 
@@ -35,6 +37,22 @@ def _checked_precision(precision: int) -> int:
     if not isinstance(precision, int) or precision < 1:
         raise ValueError("precision must be a positive integer")
     return precision
+
+
+def exact_fraction(value, name: str) -> Fraction:
+    """``Fraction(value)``; a zero denominator raises ValueError, like any
+    other text that names no number."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{name} {value!r} has a zero denominator") from None
+
+
+def _positive_epsilon(epsilon: Fraction | str) -> Fraction:
+    eps = exact_fraction(epsilon, "epsilon")
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
+    return eps
 
 
 def circle_norm(x: Fraction | int | str) -> Fraction:
@@ -72,7 +90,7 @@ class RotationSystem:
                     raise ValueError("cf terms must be positive partial quotients")
                 alpha = _from_continued_fraction([0] + terms)
             else:
-                alpha = Fraction(alpha)
+                alpha = exact_fraction(alpha, "rotation angle")
         if isinstance(alpha, (int, Fraction)):
             value = Fraction(alpha)
             if not 0 <= value < 1:
@@ -162,29 +180,30 @@ class ReturnReport:
 
 
 def _scan_returns(
-    system: RotationSystem, k: int, epsilon: Fraction, n_lo: int, n_hi: int, precision: int
+    system: RotationSystem, k: int, epsilon: Fraction, candidates: Iterable[int], precision: int
 ) -> tuple[int | None, tuple[Fraction, ...], int]:
-    """The least n in ``n_lo..n_hi`` with every multiple ``i*n*alpha`` (i = 1..k)
-    certifiably within epsilon of an integer, its distances, and the
-    precision reached; ``(None, (), precision)`` when no n qualifies.
+    """The first of ``candidates`` with every multiple ``i*n*alpha``
+    (i = 1..k) certifiably within epsilon of an integer, its distances, and
+    the precision reached; ``(None, (), precision)`` when none qualifies.
 
     Each precision is set up once: with ``value = num/den`` and
     ``err = e/den`` the distance of ``i*n*alpha`` is ``d/den`` with
     ``d = min(x, den - x)``, ``x = i*n*num mod den``, and
     ``d/den ± i*n*e/den`` is compared with ``epsilon`` by
     cross-multiplication.  A comparison too close to call doubles the
-    precision and the scan goes on from that n: every smaller n stays
-    certified "no return".  PrecisionError past the cap.
+    precision and the scan goes on from that n: every earlier candidate
+    stays certified "no return".  PrecisionError past the cap.
     """
     eps_num, eps_den = epsilon.numerator, epsilon.denominator
-    n = n_lo
-    while True:
+    pending = iter(candidates)
+    n = next(pending, None)
+    while n is not None:
         value, err = system.approx(precision)
         den = math.lcm(value.denominator, err.denominator)
         num = value.numerator * (den // value.denominator)
         e = err.numerator * (den // err.denominator)
         bar = eps_num * den
-        for n in range(n, n_hi + 1):
+        for n in chain((n,), pending):
             step, slack_step = n * num % den, n * e
             x, slack = 0, 0
             for i in range(1, k + 1):
@@ -199,12 +218,13 @@ def _scan_returns(
             if (d - slack) * eps_den < bar:
                 break  # too close to call at this precision
         else:
-            return None, (), precision
+            break
         precision *= 2
         if precision > _MAX_PRECISION:
             raise PrecisionError(
                 f"distance for n={n}, i={i} undecidable within error {Fraction(slack, den)}"
             )
+    return None, (), precision
 
 
 def find_multi_return(
@@ -213,18 +233,34 @@ def find_multi_return(
     epsilon: Fraction | str,
     n_max: int,
     precision: int | None = None,
+    convergent: ReturnReport | None = None,
 ) -> ReturnReport | None:
     """Least n <= n_max with every multiple n*i*alpha within epsilon of an
-    integer, by one scan over 1..n_max (see :func:`_scan_returns`)."""
+    integer.
+
+    For ``epsilon <= 1/(2k)`` that is the first convergent denominator
+    certified as a return (see :func:`cf_accelerated_return`), and nothing
+    is scanned; ``convergent``, when given, is that report for the same
+    system, ``k``, ``epsilon`` and ``precision``.  For larger epsilon it is
+    one scan over 1..n_max (see :func:`_scan_returns`).
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = _positive_epsilon(epsilon)
     prec = _checked_precision(precision) if precision is not None else system.precision
-    n, dists, prec = _scan_returns(system, k, eps, 1, n_max, prec)
+    if convergent is not None and (convergent.epsilon, len(convergent.distances)) != (eps, k):
+        raise ValueError("the convergent report is for another epsilon or k")
+    if eps <= Fraction(1, 2 * k):
+        if convergent is None:
+            # q_j >= F_(j+1) > n_max once j > log_phi(n_max) + 1
+            depth = 2 * n_max.bit_length() + 3
+            convergent = _convergent_return(system, k, eps, prec, depth, n_max)
+        if convergent is None or convergent.n > n_max:
+            return None
+        return ReturnReport(convergent.n, convergent.distances, eps, n_max, convergent.precision)
+    n, dists, prec = _scan_returns(system, k, eps, range(1, n_max + 1), prec)
     return None if n is None else ReturnReport(n, dists, eps, n_max, prec)
 
 
@@ -234,7 +270,24 @@ def verify_return(
     """Re-check a report, by default at twice the precision it was made at."""
     prec = _checked_precision(precision) if precision is not None else 2 * report.precision
     k, n = len(report.distances), report.n
-    return _scan_returns(system, k, report.epsilon, n, n, prec)[0] is not None
+    return _scan_returns(system, k, report.epsilon, (n,), prec)[0] is not None
+
+
+def _convergent_return(
+    system: RotationSystem,
+    k: int,
+    eps: Fraction,
+    precision: int,
+    depth: int,
+    q_max: int | None = None,
+) -> ReturnReport | None:
+    """The first of the first ``depth`` convergent denominators, up to
+    ``q_max``, certified as a return, or None."""
+    denominators = (q for _, q in system.convergents(depth) if q >= 1)
+    if q_max is not None:
+        denominators = takewhile(lambda q: q <= q_max, denominators)
+    q, dists, precision = _scan_returns(system, k, eps, denominators, precision)
+    return None if q is None else ReturnReport(q, dists, eps, q, precision)
 
 
 def cf_accelerated_return(
@@ -244,34 +297,36 @@ def cf_accelerated_return(
     max_depth: int = 256,
     precision: int | None = None,
 ) -> ReturnReport:
-    """An admissible (not necessarily least) return among convergent denominators.
+    """A return among convergent denominators, the least return when
+    ``epsilon <= 1/(2k)``.
 
     A denominator q with ``k * ||q * alpha|| < epsilon`` serves all the
     multiples at once; for a rational angle the final denominator always
     works.  Each candidate is certified directly before being reported.
+    When ``epsilon <= 1/(2k)`` the first one certified is the least
+    return:
+    - the multiple ``i = 1`` needs ``d = ||n * alpha|| < epsilon``, so
+      ``i * d < k * epsilon <= 1/2`` and ``||i * n * alpha|| = i * d``;
+    - a return is then exactly an ``n`` with ``d < epsilon / k``, and the
+      least such ``n`` beats every smaller one, so it is a best
+      approximation of the second kind: a convergent denominator
+      (Khinchin, *Continued Fractions*).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = _positive_epsilon(epsilon)
     prec = _checked_precision(precision) if precision is not None else system.precision
-    for _, q in system.convergents(max_depth):
-        if q < 1:
-            continue
-        n, dists, prec = _scan_returns(system, k, eps, q, q, prec)
-        if n is not None:
-            return ReturnReport(q, dists, eps, q, prec)
-    raise DepthExhaustedError(
-        f"no convergent denominator within depth {max_depth} certified a return"
-    )
+    report = _convergent_return(system, k, eps, prec, max_depth)
+    if report is None:
+        raise DepthExhaustedError(
+            f"no convergent denominator within depth {max_depth} certified a return"
+        )
+    return report
 
 
 def dirichlet_ceiling(k: int, epsilon: Fraction | str) -> int:
     """Pigeonhole ceiling: some n <= ceil(1/epsilon)**k has all k multiples
     within 1/ceil(1/epsilon) of an integer, for every angle."""
-    eps = Fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    eps = _positive_epsilon(epsilon)
     q = math.ceil(1 / eps)
     return q**k

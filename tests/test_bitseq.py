@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from shiftrec.bitseq import (
     Word,
     all_words,
     constant_source,
+    pseudorandom_prefixes,
     shift,
     word_strings,
     words_from_strings,
@@ -170,17 +173,20 @@ INT_PATH_SOURCES = {
 @example(start=128, length=64)
 def test_window_value_is_window_is_bit_by_bit(name, start, length):
     """window_value == window().value == reading ``bit`` one index at a time,
-    also across 64-bit block boundaries and for empty windows; a file
-    source raises past its end on all three paths."""
+    and window_lsb is the same bits least significant first, also across
+    64-bit block boundaries and for empty windows; a file source raises
+    past its end on all four paths."""
     src = INT_PATH_SOURCES[name]
     if name == "file" and length and start + length > FILE_BITS:
-        for read in (src.window_value, src.window, lambda s, n: _bit_by_bit(src, s, n)):
+        reads = (src.window_value, src.window, src.window_lsb, lambda s, n: _bit_by_bit(src, s, n))
+        for read in reads:
             with pytest.raises(InsufficientDataError):
                 read(start, length)
         return
     value = src.window_value(start, length)
     assert src.window(start, length) == Word(value, length)
     assert value == _bit_by_bit(src, start, length)
+    assert src.window_lsb(start, length) == sum(src.bit(start + i) << i for i in range(length))
 
 
 @pytest.mark.parametrize(
@@ -192,6 +198,29 @@ def test_window_rejects_negative_start_and_length(src):
     with pytest.raises(ValueError):
         src.window(0, -1)
     assert src.window(0, 0) == Word(0, 0)
+    with pytest.raises(IndexError):
+        src.window_lsb(-3, 4)
+    with pytest.raises(ValueError):
+        src.window_lsb(0, -1)
+    assert src.window_lsb(0, 0) == 0
+
+
+def test_pseudorandom_prefixes_are_the_joined_first_blocks():
+    """Mixing every seed's blocks at once in lanes gives each seed's own
+    stream, for seeds past 64 bits and negative ones (both taken mod 2^64),
+    and the lane width is at least two blocks."""
+    rng = random.Random(64)
+    seeds = [rng.getrandbits(63) for _ in range(20)] + [0, 2**64 - 1, 2**64 + 5, -1, -(2**70)]
+    for blocks in (2, 3, 4):
+        width = 64 * blocks
+        joined = pseudorandom_prefixes(seeds, blocks)
+        for s, seed in enumerate(seeds):
+            own = PseudorandomSource(seed).window_lsb(0, width)
+            assert joined >> width * s & ((1 << width) - 1) == own, (blocks, seed)
+        assert joined >> width * len(seeds) == 0
+    assert pseudorandom_prefixes([], 2) == 0
+    with pytest.raises(ValueError):
+        pseudorandom_prefixes(seeds, 1)
 
 
 @given(st.integers(0, 2**32), st.integers(0, 64), st.integers(0, 64))

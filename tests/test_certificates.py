@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shiftrec.bitseq import Word
 from shiftrec.certificates import (
+    JsonRecords,
     TestCertificate,
     certificates_from_json,
     certificates_to_json,
@@ -156,6 +157,29 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_text_equals_json_dumps(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+json_numbers = st.none() | st.booleans() | st.integers() | st.floats(
+    allow_nan=True, allow_infinity=True
+)
+
+
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True), st.data())
+def test_json_records_are_written_as_their_dicts(keys, data):
+    """Records are written byte for byte as the list of their dicts, at any
+    depth; keys with ``%`` and non-ASCII characters included."""
+    keys = tuple(sorted(keys))
+    rows = data.draw(st.lists(st.tuples(*[json_numbers] * len(keys)), max_size=4))
+    other = data.draw(json_values)
+    records, dicts = JsonRecords(keys, tuple(rows)), [dict(zip(keys, row)) for row in rows]
+    for wrap in (lambda v: v, lambda v: {"rows": v, "x": other}, lambda v: [other, [v]]):
+        assert json_text(wrap(records)) == json.dumps(wrap(dicts), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("keys", [(), ("b", "a"), ("a", "a")])
+def test_json_records_want_distinct_sorted_keys(keys):
+    with pytest.raises(ValueError):
+        JsonRecords(keys, ())
 
 
 def test_json_text_rejects_what_json_dumps_rejects():

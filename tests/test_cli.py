@@ -204,6 +204,30 @@ def test_rotate_subcommand(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag", ["--epsilon", "--alpha"], ids=["epsilon", "alpha"]
+)
+def test_rotate_zero_denominator_is_usage_error(flag, capsys):
+    """``1/0`` is a malformed number: exit 2 with an error line, not a
+    ZeroDivisionError traceback and exit 1, the bound-violation status."""
+    assert main(["rotate", "--k", "2", flag, "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'1/0' has a zero denominator" in err
+
+
+def test_rotate_takes_a_deep_return_from_the_convergents(capsys):
+    """For epsilon <= 1/(2k) the least return is the first convergent
+    denominator that returns, so a return past 2.6e8 under a Dirichlet
+    ceiling of 1e32 needs no scan."""
+    code, out = run_cli(
+        capsys, "rotate", "--alpha", "golden", "--k", "4", "--epsilon", "1/100000000",
+        "--format", "csv",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[3], r[4]) for r in rows] == [("scan", "267914296"), ("cf", "267914296")]
+
+
+@pytest.mark.parametrize(
     "flags,env_precision",
     [(["--precision", "0"], None), ([], "0"), (["--precision", "-3"], None)],
 )

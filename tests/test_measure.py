@@ -141,6 +141,31 @@ def test_complement_measures_sum_to_one(granularity, mask):
     assert p.measure() + p.complement().measure() == D_ONE
 
 
+@given(st.integers(1, 10), st.data())
+def test_clopen_gap_words_cover_the_complement(granularity, data):
+    """The gap words are prefix-free, no longer than the granularity, at most
+    ``granularity`` per member, and a word lies in the set exactly when
+    none of them is its prefix; empty, full and all-but-one sets included."""
+    top = (1 << granularity) - 1
+    values = data.draw(
+        st.one_of(
+            st.sets(st.integers(0, top), max_size=40),
+            st.just(set()),
+            st.just(set(range(top + 1))),
+            st.integers(0, top).map(lambda v: set(range(top + 1)) - {v}),
+        )
+    )
+    p = ClopenSet(granularity, {Word(v, granularity) for v in values})
+    gaps = p.gap_words()
+    assert list(gaps) == sorted(gaps) and is_prefix_free(words(*gaps))
+    assert all(len(g) <= granularity for g in gaps)
+    assert len(gaps) <= max(1, granularity * len(values))
+    for w in all_words(granularity):
+        text = str(w)
+        assert (w.value in values) != any(text.startswith(g) for g in gaps)
+    assert p.gap_words() is gaps  # built once
+
+
 def test_clopen_membership_and_errors():
     p = ClopenSet(2, words("11"))
     assert p.contains_word(W("1101"))

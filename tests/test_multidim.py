@@ -290,6 +290,30 @@ def test_grid_find_witness_matches_full_read_oracle(k, n1):
     assert 0 < found < 16
 
 
+@pytest.mark.parametrize("k, n1, members", [(2, 2, 2), (3, 2, 64), (2, 3, 128)])
+def test_grid_find_witness_matches_axis_zero_first_oracle(k, n1, members):
+    """Reading the blocks from the last axis to the first finds the n that
+    reading them from axis 0 on finds, each block read in full through
+    ``bit``; the targets are sparse enough for witnesses past n = 30."""
+    cells = n1**k
+    rng = random.Random(cells)
+    target = ClopenSet(cells, {Word(v, cells) for v in rng.sample(range(1 << cells), members)})
+    for seed in range(5):
+        grid = SeededGridSource(seed, k)
+        oracle = next(
+            (
+                n
+                for n in range(1, 301)
+                if all(
+                    target.contains_word(Word.from_bits(GridSource.block_bits(grid, axis, n, n1)))
+                    for axis in range(k)
+                )
+            ),
+            None,
+        )
+        assert grid_find_witness(grid, target, 300) == oracle, seed
+
+
 def test_grid_find_witness_reports_a_late_witness():
     target = ClopenSet(4, shell_words(2, 2, ["1011", "0000"]))
     grid = SeededGridSource(7, 2)

@@ -1,14 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shiftrec import recurrence
 from shiftrec.bitseq import (
     EventuallyPeriodicSource,
     ExplicitPrefixSource,
+    FileSource,
     PseudorandomSource,
     Word,
     constant_source,
 )
+from shiftrec.errors import InsufficientDataError
 from shiftrec.measure import ClopenSet, StagedCoEnumeration
 from shiftrec.recurrence import (
     Pi01Target,
@@ -240,3 +245,127 @@ def test_least_witness_is_the_first_is_witness(seed, target, k, n_max):
             None,
         )
         assert brute == raw
+
+
+# --- the membership bitmap against a literal per-window oracle -----------------
+
+
+def _random_clopen(rng, g):
+    top = 1 << g
+    shape = rng.randrange(4)
+    if shape == 0:  # all but one word
+        values = set(range(top)) - {rng.randrange(top)}
+    elif shape == 1:  # sparse, so that witnesses are late or missing
+        values = set(rng.sample(range(top), rng.randint(0, min(3, top))))
+    else:
+        values = set(rng.sample(range(top), rng.randint(0, top)))
+    return ClopenSet(g, {Word(v, g) for v in values})
+
+
+def _random_pi01(rng):
+    stages = {
+        t: {Word(rng.getrandbits(t), t) for _ in range(rng.randint(1, 3))}
+        for t in rng.sample(range(1, 9), rng.randint(0, 3))
+    }
+    return Pi01Target(StagedCoEnumeration(stages), rng.randint(0, 12))
+
+
+def _random_source(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return PseudorandomSource(rng.getrandbits(64))
+    if kind == 1:
+        head = Word(rng.getrandbits(5), rng.randint(0, 5))
+        return EventuallyPeriodicSource(head, Word(rng.getrandbits(7), rng.randint(1, 7)))
+    return ExplicitPrefixSource(Word(rng.getrandbits(150), rng.randint(0, 150)), rng.randint(0, 1))
+
+
+def _edge_n_max(rng, k, g):
+    """An n_max whose last window ends next to a chunk edge of 64 to 512 bits."""
+    edge = rng.choice((64, 128, 256, 512))
+    return max(1, (edge - g) // k + rng.randint(-1, 1))
+
+
+def test_least_witness_matches_the_literal_window_oracle():
+    """Clopen targets of 1 to 10 bits (all-but-one, sparse and dense) and
+    effectively closed ones, k = 1..5, windows ending at or just past the
+    64-, 128-, 256- and 512-bit chunk edges, on pseudorandom, eventually
+    periodic and explicit sources: the bitmap scan finds the least n that
+    reading each window and testing its word finds."""
+    rng = random.Random(17)
+    found = missed = 0
+    for trial in range(240):
+        target = _random_clopen(rng, rng.randint(1, 10)) if trial % 3 else _random_pi01(rng)
+        source = _random_source(rng)
+        k = rng.randint(1, 5)
+        n_max = _edge_n_max(rng, k, target.granularity)
+        expected = naive_least_witness(source, target, k, n_max)
+        assert least_witness(source, target, k, n_max) == expected, (trial, target, k, n_max)
+        found += expected is not None
+        missed += expected is None
+    assert found > 60 and missed > 30
+
+
+def test_batch_statistics_matches_the_literal_window_oracle(monkeypatch):
+    """The batch tests its seeds' first chunks together, five seeds to a
+    group here; every row is the literal oracle's least witness, also when
+    n_max stops inside the first chunk and when no window fits in it."""
+    monkeypatch.setattr(recurrence, "_BATCH_GROUP", 5)
+    rng = random.Random(29)
+    seeds = [rng.getrandbits(63) for _ in range(23)]
+    far = StagedCoEnumeration({3: {W("111")}, 7: {W("0000000")}})
+    cases = [
+        (P_ONES, 4, 70),
+        (_random_clopen(rng, 8), 3, 200),
+        (_random_clopen(rng, 10), 2, 9),
+        (ClopenSet(2, {W("11")}), 5, 3),
+        (Pi01Target(far, 12), 2, 150),
+        (P_ONES, 4, 32),  # one candidate past the first chunk's 31
+        (Pi01Target(far, 130), 1, 20),  # a window longer than the first chunk
+        (Pi01Target(far, 130), 1, 1),
+    ]
+    for target, k, n_max in cases:
+        rows = batch_statistics(seeds, target, k, n_max).rows
+        expected = [
+            (seed, naive_least_witness(PseudorandomSource(seed), target, k, n_max))
+            for seed in seeds
+        ]
+        assert list(rows) == expected, (target, k, n_max)
+
+
+def _window_scan(source, target, k, n_max):
+    """The least witness, reading the windows of each candidate in order
+    and stopping at the first window outside the target."""
+    for n in range(1, n_max + 1):
+        if all(
+            target.contains_word(source.window(i * n, target.granularity))
+            for i in range(1, k + 1)
+        ):
+            return n
+    return None
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+def test_a_short_file_raises_where_the_window_scan_does():
+    """On a file too short for every candidate, the bitmap covers the
+    candidates whose windows fit, and the rest are read window by window:
+    the result, or the index that ran past the file's end, is the window
+    scan's."""
+    rng = random.Random(5)
+    raised = 0
+    for trial in range(120):
+        data = bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 24)))
+        source = FileSource.from_bytes(data)
+        target = _random_clopen(rng, rng.randint(2, 6))
+        k = rng.randint(2, 5)
+        n_max = rng.randint(1, 100)
+        expected = _outcome(_window_scan, source, target, k, n_max)
+        assert _outcome(least_witness, source, target, k, n_max) == expected, trial
+        raised += isinstance(expected, str)
+    assert 20 < raised < 100

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shiftrec import rotation
 from shiftrec.errors import DepthExhaustedError, PrecisionError
@@ -255,3 +257,54 @@ def test_integer_scan_matches_fraction_reference(alpha, precision):
         reference = _reference_reports(RotationSystem(alpha), k, eps, precision)
         assert reference[0] is not None
         assert (scan, cf) == reference, (k, eps)
+
+
+_BOTH_SIDES = [
+    ("golden", k, eps)
+    for k in range(1, 6)
+    for eps in (Fraction(1, 2 * k), Fraction(1, 2 * k) + Fraction(1, 1000), Fraction(1, 14 * k))
+]
+
+
+# above 1/(2k) the least return need not be a convergent denominator:
+# here n = 3 returns and the first convergent denominator that does is 4
+_BOTH_SIDES.append((Fraction(217, 1000), 2, Fraction(2, 5)))
+
+
+def _with_examples(test):
+    for case in _BOTH_SIDES:
+        test = example(*case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.one_of(st.just("golden"), st.fractions(0, 1, max_denominator=5000)),
+    k=st.integers(1, 5),
+    eps=st.fractions(Fraction(1, 300), Fraction(3, 5), max_denominator=300),
+)
+@_with_examples
+def test_least_return_matches_a_capped_plain_scan(alpha, k, eps):
+    """On both sides of epsilon = 1/(2k): at or below it the answer comes
+    from the convergents and nothing is scanned, above it from the scan;
+    either way it is the first n up to the cap that a Fraction scan over
+    every n certifies, with the same distances."""
+    cap = 600
+    system = RotationSystem(alpha)
+    report = find_multi_return(system, k, eps, cap)
+    n, dists, _ = _fraction_scan(RotationSystem(alpha), k, eps, range(1, cap + 1), system.precision)
+    assert (report.n, report.distances) == (n, dists) if n else report is None
+    if report is not None:
+        assert report.bound_used == cap
+
+
+def test_find_multi_return_reuses_a_convergent_report():
+    """A given report stands for the convergent search, also when its
+    denominator lies past n_max; one for another query is refused."""
+    system = RotationSystem.golden()
+    cf = cf_accelerated_return(system, 2, "1/20")
+    assert find_multi_return(system, 2, "1/20", 400, convergent=cf).n == cf.n == 21
+    assert find_multi_return(system, 2, "1/20", 20, convergent=cf) is None
+    for k, eps in ((3, "1/20"), (2, "1/30")):
+        with pytest.raises(ValueError, match="another epsilon or k"):
+            find_multi_return(system, k, eps, 400, convergent=cf)
