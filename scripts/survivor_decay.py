@@ -27,7 +27,7 @@ def main() -> int:
         length = p["k"] * p["times"][-1] + p["granularity"]
         print(
             f"{t},{length},{cert.cover.word_count},{cert.exact_measure},"
-            f"{cert.exact_measure.as_float()!r}"
+            f"{float(cert.exact_measure.as_fraction())!r}"
         )
     return 0
 

@@ -10,14 +10,11 @@ from .bitseq import (
     PseudorandomSource,
     SequenceSource,
     Word,
-    all_words,
-    constant_source,
     shift,
 )
 from .certificates import (
     TestCertificate,
     certificates_from_json,
-    certificates_to_json,
     new_certificate,
     verify_certificate,
 )
@@ -48,7 +45,6 @@ from .mltest import (
     MLRunResult,
     ml_enumerate_G,
     ml_escape_level,
-    ml_measure_bound,
     ml_refined_levels,
     ml_run,
     ml_test_refinement,
@@ -74,13 +70,11 @@ from .recurrence import (
     batch_statistics,
     find_witness,
     is_witness,
-    recurrence_profile,
 )
 from .rotation import (
     ReturnReport,
     RotationSystem,
     cf_accelerated_return,
-    circle_norm,
     dirichlet_ceiling,
     find_multi_return,
     verify_return,

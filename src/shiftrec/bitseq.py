@@ -8,7 +8,7 @@ replayed bit-for-bit from its seed or input file.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InsufficientDataError
 
@@ -58,9 +58,6 @@ class Word(NamedTuple):
             and (other.value >> (other.length - self.length)) == self.value
         )
 
-    def is_proper_prefix_of(self, other: "Word") -> bool:
-        return other.length > self.length and self.is_prefix_of(other)
-
     def to_string(self) -> str:
         return word_strings([self])[0]
 
@@ -104,12 +101,6 @@ def shift(word: Word, n: int) -> Word:
         raise ValueError(f"cannot drop {n} bits from a word of length {word.length}")
     rest = word.length - n
     return Word(word.value & ((1 << rest) - 1), rest)
-
-
-def all_words(length: int) -> Iterator[Word]:
-    """All words of the given length, in increasing packed-value order."""
-    for value in range(1 << length):
-        yield Word(value, length)
 
 
 # --- deterministic bit sources ------------------------------------------------
@@ -293,7 +284,34 @@ class EventuallyPeriodicSource(SequenceSource):
         return self.cycle.bit((index - self.head.length) % self.cycle.length)
 
 
-class ExplicitPrefixSource(SequenceSource):
+class _PackedSource(SequenceSource):
+    """The bits of a packed word, then :meth:`_past_end`'s fill bit."""
+
+    word: Word
+
+    def _past_end(self, index: int) -> int:
+        """The bit at every ``index`` past the word, the first one read; or raises."""
+        raise NotImplementedError
+
+    def bit(self, index: int) -> int:
+        return self.window_value(index, 1)
+
+    def window_value(self, start: int, length: int) -> int:
+        """One shift and mask of the packed word, whatever the window's offset."""
+        _check_window(start, length)
+        if not length:
+            return 0
+        value, n = self.word
+        end = start + length
+        if end <= n:
+            return value >> (n - end) & ((1 << length) - 1)
+        inside = max(n - start, 0)
+        fill = self._past_end(start + inside)
+        head = value & ((1 << inside) - 1)
+        return head << (length - inside) | fill * ((1 << (length - inside)) - 1)
+
+
+class ExplicitPrefixSource(_PackedSource):
     """A fixed prefix, then a constant default bit."""
 
     def __init__(self, word: Word, default_bit: int = 0):
@@ -302,18 +320,14 @@ class ExplicitPrefixSource(SequenceSource):
         self.word = word
         self.default_bit = default_bit
 
-    def bit(self, index: int) -> int:
-        if index < 0:
-            raise IndexError("negative bit index")
-        if index < self.word.length:
-            return self.word.bit(index)
+    def _past_end(self, index: int) -> int:
         return self.default_bit
 
 
 _ASCII_BIT_BYTES = frozenset(b"01 \t\r\n\x0b\x0c")
 
 
-class FileSource(SequenceSource):
+class FileSource(_PackedSource):
     """Bits read from a file, ASCII ``0``/``1`` or raw binary.
 
     The format is picked from the first 64 bytes: if they all are ``0``,
@@ -326,13 +340,13 @@ class FileSource(SequenceSource):
         with open(path, "rb") as fh:
             data = fh.read()
         self.path = os.fspath(path)
-        self._word = self._decode(data)
+        self.word = self._decode(data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "FileSource":
         src = cls.__new__(cls)
         src.path = "<bytes>"
-        src._word = cls._decode(data)
+        src.word = cls._decode(data)
         return src
 
     @staticmethod
@@ -348,17 +362,10 @@ class FileSource(SequenceSource):
 
     @property
     def length(self) -> int:
-        return self._word.length
+        return self.word.length
 
-    def bit(self, index: int) -> int:
-        if index < 0:
-            raise IndexError("negative bit index")
-        if index >= self._word.length:
-            raise InsufficientDataError(
-                f"source {self.path} holds {self._word.length} bits, index {index} requested"
-            )
-        return self._word.bit(index)
+    def _past_end(self, index: int) -> int:
+        raise InsufficientDataError(
+            f"source {self.path} holds {self.word.length} bits, index {index} requested"
+        )
 
-
-def constant_source(bit: int) -> EventuallyPeriodicSource:
-    return EventuallyPeriodicSource(EMPTY_WORD, Word(bit, 1))

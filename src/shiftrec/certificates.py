@@ -297,10 +297,6 @@ def _json_scalar(obj) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def certificates_to_json(certs: Iterable[TestCertificate]) -> str:
-    return json_text({"certificates": [c.to_json_dict() for c in certs]})
-
-
 _CERT_KEYS = ("certificates", "g_certificates", "refined_certificates")
 
 

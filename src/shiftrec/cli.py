@@ -22,7 +22,7 @@ from .certificates import (
 from .dyadic import Dyadic
 from .errors import BoundViolationError, ShiftrecError
 from .kurtz import kurtz_capture, kurtz_stage_set
-from .measure import ClopenSet, StagedCoEnumeration, keyword_number, stage_tokens
+from .measure import ClopenSet, CubeSet, StagedCoEnumeration, keyword_number, stage_tokens
 from .mltest import ml_escape_level, ml_run
 from .multidim import (
     GridMLConstruction,
@@ -91,7 +91,10 @@ def _load_class_file(path: str):
 def _array_coenum_from_text(text: str) -> StagedCoEnumeration:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     dim = keyword_number(lines[0], "dimension")
-    stages = {t: shell_words(dim, t, tokens) for t, tokens in stage_tokens(lines[1:]).items()}
+    stages = {
+        t: CubeSet.from_words(shell_words(dim, t, tokens)).cubes
+        for t, tokens in stage_tokens(lines[1:]).items()
+    }
     return StagedCoEnumeration(stages, dimension=dim)
 
 
@@ -111,7 +114,7 @@ def _resolve_target(args) -> ClopenSet | StagedCoEnumeration:
 def _resolve_coenum(args) -> StagedCoEnumeration:
     target = _resolve_target(args)
     if isinstance(target, ClopenSet):
-        return StagedCoEnumeration.from_words(target.complement().words)
+        return StagedCoEnumeration({target.granularity: target.complement().cubes})
     return target
 
 
@@ -235,7 +238,7 @@ def _cmd_mltest(args) -> int:
     }
     if result.path == "split":
         payload["split"] = {
-            "head": [str(w) for w in sorted(result.head, key=lambda w: (w.length, w.value))],
+            "head": CubeSet(result.head).strings(),
             "head_max_len": result.head_max_len,
             "tail_q": str(result.tail_q),
         }

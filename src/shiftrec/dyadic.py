@@ -45,12 +45,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    def as_float(self) -> float:
-        try:
-            return self.num / (1 << self.exp)
-        except OverflowError:
-            return float(self.as_fraction())
-
     @staticmethod
     def _coerce(other) -> "Dyadic | None":
         if isinstance(other, Dyadic):

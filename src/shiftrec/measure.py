@@ -6,7 +6,9 @@ exponentially many words each.  Prefix reduction turns words into such a
 cover, one fully cared cube per prefix-minimal word, so every measure here
 is an exact dyadic sum of powers of two.  Effectively closed sets are kept
 as staged co-enumerations of their complements, the convention being that
-a word delivered at stage ``t`` has length exactly ``t``.
+a cube delivered at stage ``t`` has length exactly ``t``; a clopen set's
+complement is the cover of its gap words, at most ``granularity`` cubes per
+member, so nothing here lists the ``2**granularity`` words of a length.
 
 Grid samples of dimension ``k`` are words too: a size-``n`` cube is read in
 shell order (see :mod:`shiftrec.multidim`), which makes it a word of length
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .bitseq import Word, all_words, words_from_strings
+from .bitseq import Word, words_from_strings
 from .dyadic import D_ZERO, Dyadic
 from .errors import BudgetExceededError, NoCertificateError
 
@@ -313,20 +315,9 @@ class CubeSet:
         return f"CubeSet({self.strings()!r})"
 
 
-def words_by_length(words: _WordIter) -> dict[int, list[Word]]:
-    """The words bucketed by length, shortest first."""
-    buckets: defaultdict[int, list[Word]] = defaultdict(list)
-    for w in words:
-        buckets[w.length].append(w)
-    return dict(sorted(buckets.items()))
-
-
 def sorted_words(words: _WordIter) -> tuple[Word, ...]:
     """Canonical (length, value) order, used everywhere output must be stable."""
-    buckets = words_by_length(words)
-    for bucket in buckets.values():
-        bucket.sort(key=itemgetter(0))  # equal lengths: value order, on int keys
-    return tuple(chain.from_iterable(buckets.values()))
+    return tuple(sorted(words, key=itemgetter(1, 0)))
 
 
 class ClopenSet:
@@ -364,22 +355,15 @@ class ClopenSet:
             granularity = ws[0].length
         return cls(granularity, ws)
 
-    @classmethod
-    def full(cls, granularity: int) -> "ClopenSet":
-        return cls(granularity, all_words(granularity))
-
     def measure(self) -> Dyadic:
         return Dyadic(len(self.words), self.granularity)
 
-    def complement(self) -> "ClopenSet":
-        if self.granularity > 26:
-            raise BudgetExceededError(
-                f"complement would enumerate 2^{self.granularity} words"
-            )
-        return ClopenSet(
-            self.granularity,
-            (w for w in all_words(self.granularity) if w not in self.words),
-        )
+    def complement(self) -> CubeSet:
+        """The words of ``granularity`` bits outside the set, as the disjoint
+        cubes of its :meth:`gap_words` padded with free bits: never more than
+        ``granularity`` cubes per member."""
+        g = self.granularity
+        return CubeSet.from_strings(gap.ljust(g, "*") for gap in self.gap_words())
 
     def _member_values(self) -> frozenset[int]:
         if self._values is None:
@@ -440,11 +424,6 @@ class ClopenSet:
     def __repr__(self):
         return f"ClopenSet({self.granularity}, {[str(w) for w in sorted_words(self.words)]})"
 
-    def to_text(self) -> str:
-        lines = [f"granularity {self.granularity}"]
-        lines.extend(str(w) for w in sorted_words(self.words))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "ClopenSet":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -472,49 +451,49 @@ def stage_tokens(lines: Iterable[str]) -> dict[int, list[str]]:
 
 
 class StagedCoEnumeration:
-    """Stage-indexed growing word set (the enumerated complement of a closed set).
+    """Stage-indexed growing open set (the enumerated complement of a closed set).
 
-    A word delivered at stage ``t`` has length exactly ``t**dimension``: in
-    dimension one a word, otherwise the shell word of a size-``t`` cube.
-    With finite support the tail measure past any stage is computed exactly;
-    an infinite-support enumeration instead supplies ``tail_modulus``, an
-    upper bound on the measure of the part not yet delivered.
+    A stage holds ``(length, care, value)`` cubes, and a cube delivered at
+    stage ``t`` has length ``t**dimension``: in dimension one a cube of
+    words, otherwise of the shell words of size-``t`` cubes.  Cubes of
+    different stages may overlap.  With finite support the tail measure past
+    any stage is computed exactly, once per stage; an infinite-support
+    enumeration instead supplies ``tail_modulus``, an upper bound on the
+    measure of the part not yet delivered.
     """
 
     def __init__(
         self,
-        stages: Mapping[int, _WordIter],
+        stages: Mapping[int, Iterable[Cube]],
         tail_modulus: Callable[[int], Dyadic] | None = None,
         support_bound: int | None = None,
         dimension: int = 1,
     ):
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        clean: dict[int, frozenset[Word]] = {}
-        for t, words in stages.items():
-            ws = frozenset(words)
-            if not ws:
+        clean: dict[int, frozenset[Cube]] = {}
+        for t, cubes in stages.items():
+            cs = frozenset(cubes)
+            if not cs:
                 continue
             if t < 1:
                 raise ValueError(f"stage {t} is not a positive integer")
-            for w in ws:
-                if w.length != t**dimension:
+            for n, care, value in cs:
+                if n != t**dimension:
                     raise ValueError(
-                        f"word {w} delivered at stage {t} must have length {t**dimension}"
+                        f"cube {_cube_text((n, care, value))} delivered at stage {t} "
+                        f"must have length {t**dimension}"
                     )
-            clean[t] = ws
+            clean[t] = cs
         self.dimension = dimension
         self._stages = dict(sorted(clean.items()))
         self._custom_modulus = tail_modulus
         if tail_modulus is None:
             support_bound = max(self._stages, default=0)
         self.support_bound = support_bound
-        self._cumulative: dict[int, frozenset[Word]] = {}
-
-    @classmethod
-    def from_words(cls, words: _WordIter) -> "StagedCoEnumeration":
-        """Deliver each word at the stage equal to its length."""
-        return cls(words_by_length(words))
+        # the measure of the cubes delivered in a range of stages, by its
+        # first and last nonempty stage
+        self._measures: dict[tuple[int, int], Dyadic] = {}
 
     @classmethod
     def empty(cls) -> "StagedCoEnumeration":
@@ -528,43 +507,47 @@ class StagedCoEnumeration:
     def max_stage(self) -> int:
         return max(self._stages, default=0)
 
-    def newly(self, t: int) -> frozenset[Word]:
+    def newly(self, t: int) -> frozenset[Cube]:
         return self._stages.get(t, frozenset())
 
-    def cumulative(self, t: int) -> frozenset[Word]:
-        """All words delivered by stage ``t``."""
-        key = max((s for s in self._stages if s <= t), default=0)
-        if key not in self._cumulative:
-            acc: set[Word] = set()
-            for s, ws in self._stages.items():
-                if s <= key:
-                    acc |= ws
-            self._cumulative[key] = frozenset(acc)
-        return self._cumulative[key]
+    def _between(self, first: int, last: int) -> list[int]:
+        """The nonempty stages from ``first`` through ``last``."""
+        return [s for s in self._stages if first <= s <= last]
 
-    def words(self) -> frozenset[Word]:
-        return self.cumulative(self.max_stage)
+    def _cubes_between(self, first: int, last: int) -> frozenset[Cube]:
+        return frozenset().union(*(self._stages[s] for s in self._between(first, last)))
 
-    def late_words(self, t: int) -> frozenset[Word]:
-        """The enumerated words delivered after stage ``t``."""
-        return self.words() - self.cumulative(t)
+    def cumulative(self, t: int) -> frozenset[Cube]:
+        """All cubes delivered by stage ``t``."""
+        return self._cubes_between(0, t)
+
+    def late_cubes(self, t: int) -> frozenset[Cube]:
+        """The cubes delivered after stage ``t``."""
+        return self._cubes_between(t + 1, self.max_stage)
+
+    def _measure_between(self, first: int, last: int) -> Dyadic:
+        """Measure of the open set of the cubes of stages ``first .. last``."""
+        stages = self._between(first, last)
+        key = (stages[0], stages[-1]) if stages else (0, 0)
+        if key not in self._measures:
+            cubes = (cube for s in stages for cube in self._stages[s])
+            self._measures[key] = CubeSet(union_cover(cubes)).measure()
+        return self._measures[key]
 
     def tail_modulus(self, t: int) -> Dyadic:
         if self._custom_modulus is not None:
             return self._custom_modulus(t)
-        return measure_open(self.late_words(t))
+        return self._measure_between(t + 1, self.max_stage)
 
-    def measure(self) -> Dyadic:
-        """Measure of the open set generated by the enumerated words."""
-        return measure_open(self.words())
+    def measure(self, t: int | None = None) -> Dyadic:
+        """Measure of the open set of the cubes delivered by stage ``t``, or
+        of all of them."""
+        return self._measure_between(0, self.max_stage if t is None else t)
 
-    def is_prefix_free(self) -> bool:
-        return is_prefix_free(self.words())
-
-    def remove_words(self, drop: _WordIter) -> "StagedCoEnumeration":
-        dropset = frozenset(drop)
+    def after(self, t: int) -> "StagedCoEnumeration":
+        """The stages after ``t``, under the same tail modulus."""
         return StagedCoEnumeration(
-            {t: ws - dropset for t, ws in self._stages.items()},
+            {s: cubes for s, cubes in self._stages.items() if s > t},
             tail_modulus=self._custom_modulus,
             support_bound=self.support_bound,
             dimension=self.dimension,
@@ -579,33 +562,27 @@ class StagedCoEnumeration:
         return hash((self.dimension, tuple(self._stages.items())))
 
     def __repr__(self):
-        parts = ", ".join(
-            f"{t}: {[str(w) for w in sorted_words(ws)]}" for t, ws in self._stages.items()
-        )
+        parts = ", ".join(f"{t}: {CubeSet(cs).strings()}" for t, cs in self._stages.items())
         return f"StagedCoEnumeration({{{parts}}})"
-
-    def to_text(self) -> str:
-        lines = []
-        for t, ws in self._stages.items():
-            lines.append(f"stage {t}: " + " ".join(str(w) for w in sorted_words(ws)))
-        return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> "StagedCoEnumeration":
         stages = stage_tokens(text.splitlines())
-        return cls({t: words_from_strings(tokens) for t, tokens in stages.items()})
+        return cls(
+            {t: CubeSet.from_words(words_from_strings(ts)).cubes for t, ts in stages.items()}
+        )
 
 
 def split_tail(
     coenum: StagedCoEnumeration,
     threshold: Dyadic | Fraction,
     max_stage: int = 1 << 16,
-) -> tuple[frozenset[Word], int]:
+) -> tuple[frozenset[Cube], int]:
     """Head/tail split at the least stage whose certified tail is below threshold.
 
-    Returns ``(D, N)``: the words delivered by that stage and the maximum
-    length among them.  The remaining enumerated words then generate an open
-    set of measure below ``threshold``.
+    Returns ``(D, t)``: the cubes delivered by that stage and the stage.  The
+    cubes of the later stages, ``coenum.after(t)``, then generate an open set
+    of measure below ``threshold``.
     """
     thr = threshold.as_fraction() if isinstance(threshold, Dyadic) else Fraction(threshold)
     if thr <= 0:
@@ -613,8 +590,7 @@ def split_tail(
     cap = coenum.support_bound if coenum.support_bound is not None else max_stage
     for t in range(cap + 1):
         if coenum.tail_modulus(t).as_fraction() < thr:
-            head = coenum.cumulative(t)
-            return head, max((w.length for w in head), default=0)
+            return coenum.cumulative(t), t
     raise NoCertificateError(
         f"tail modulus never certified a tail below {thr} within {cap} stages"
     )

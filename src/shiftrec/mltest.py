@@ -4,27 +4,27 @@ measure accounting.
 Level 0 holds the empty word.  A word ``eta`` of length ``t`` enters level
 ``r`` at stage ``t`` when it properly extends a level ``r-1`` word ``sigma``
 entered at stage ``s = len(sigma)`` with ``t > (k+1) s``, some shifted block
-``eta[s*i:]`` extends a complement word enumerated by stage ``t - s*i``, and
+``eta[s*i:]`` extends a complement cube enumerated by stage ``t - s*i``, and
 no prefix of ``eta`` has entered level ``r`` before.  Entries therefore have
 length equal to their entry stage and every level is prefix-free, so a level
 is kept as a disjoint cube cover, a :class:`~shiftrec.measure.CubeSet`: a
 member's entry stage is its length ``t``, or for a grid shell word of length
 ``t**k`` the cube side ``t``.  The candidates of one parent cube and one
-witnessing word form a single cube; a stage's such cubes below one parent
-are split into disjoint cubes and sharped by the parent's earlier entries
-(:func:`~shiftrec.measure.sharp_cover`), so a level is built, measured and
-written without listing its words.
+witnessing complement cube form a single cube; a stage's such cubes below
+one parent are split into disjoint cubes and sharped by the parent's
+earlier entries (:func:`~shiftrec.measure.sharp_cover`), so a level is
+built, measured and written without listing its words.
 
 The shifted-block condition is cylinder membership (the tail *extends* an
 enumerated word); requiring the tail to *be* an enumerated word would leave
 level 2 empty even for a single-word complement and break the capture
-property, since stage-length normalization pins each enumerated word to one
+property, since stage-length normalization pins each enumerated cube to one
 exact length.
 
 When ``q = k * (measure of the enumerated complement)`` is below one, level
 ``r`` has measure at most ``q**r``.  Otherwise the complement is split into
 a finite head ``D`` and a light tail; the escape sets ``G_m`` count how many
-chain stages consumed a head word, and the refined levels re-run the chain
+chain stages consumed a head cube, and the refined levels re-run the chain
 on the tail alone, restoring a geometric measure decay.
 
 The level loop also builds grid levels over shell words:
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import chain
 from fractions import Fraction
 
-from .bitseq import EMPTY_WORD, Word
+from .bitseq import Word
 from .certificates import TestCertificate, new_certificate
 from .dyadic import D_ONE, D_ZERO, Dyadic, half_power
 from .errors import BudgetExceededError, InapplicableBoundError
@@ -47,11 +47,8 @@ from .measure import (
     Cube,
     CubeSet,
     StagedCoEnumeration,
-    is_prefix_free,
-    measure_open,
     meet_cover,
     sharp_cover,
-    sorted_words,
     split_tail,
     union_cover,
 )
@@ -82,10 +79,10 @@ class MLConstruction:
         self.stage_max = stage_max
         self.candidate_budget = candidate_budget
         # k times the measure of the complement enumerated within the budget
-        self.q = k * measure_open(coenum.cumulative(stage_max))
+        self.q = k * coenum.measure(stage_max)
         # a stage-t entry has length t**dimension
         self._stage_of_length = {t**coenum.dimension: t for t in range(stage_max + 1)}
-        self._levels = [CubeSet.from_words((EMPTY_WORD,))]
+        self._levels = [CubeSet([(0, 0, 0)])]
         self._children: list[dict[Cube, list[Cube]]] = []
         self._events: dict[tuple, list[Cube]] = {}
 
@@ -111,33 +108,38 @@ class MLConstruction:
         """Where the i-th shifted block of a stage-s parent starts."""
         return i * s
 
-    def _tau_positions(self, s: int, i: int, t: int, tau: Word) -> range:
-        """Positions, in a stage-t word, of the bits of a witnessing word tau."""
+    def _tau_positions(self, s: int, i: int, t: int, tau_length: int) -> range:
+        """Positions, in a stage-t word, of the bits of a witnessing cube tau."""
         start = self._offset(s, i)
-        return range(start, start + tau.length)
+        return range(start, start + tau_length)
 
-    def _block_cube(self, s: int, i: int, length: int, tau: Word) -> Cube | None:
+    def _block_cube(self, s: int, i: int, length: int, tau: Cube) -> Cube | None:
         """The length-``length`` words whose i-th shifted block past a stage-s
-        parent extends tau, or None when that block does not fit in them."""
-        at = self._tau_positions(s, i, self._stage_of_length[length], tau)
+        parent extends the cube tau, or None when that block does not fit in
+        them: tau's fixed bits scattered to the block's positions.  Raises
+        when the block reads a position of the parent."""
+        m, care, value = tau
+        at = self._tau_positions(s, i, self._stage_of_length[length], m)
         if max(at, default=-1) >= length:
             return None
-        care = sum(1 << (length - 1 - p) for p in at)
-        return length, care, sum(b << (length - 1 - p) for p, b in zip(at, tau.bits()))
+        if min(at, default=length) < s**self.coenum.dimension:
+            raise ValueError("a witnessing block overlaps its parent")
+        bits = [(1 << (length - 1 - p), 1 << (m - 1 - j)) for j, p in enumerate(at)]
+        return length, sum(w for w, b in bits if care & b), sum(w for w, b in bits if value & b)
 
-    def block_event(self, parent_length: int, length: int, words: frozenset[Word]) -> list[Cube]:
+    def block_event(self, parent_length: int, length: int, cubes: frozenset[Cube]) -> list[Cube]:
         """The length-``length`` words some shifted block of which, past a
-        parent of ``parent_length``, extends one of ``words``: a union of
-        cubes, built once per lengths and word set; read only."""
-        key = (parent_length, length, words)
+        parent of ``parent_length``, extends one of ``cubes``: a union of
+        cubes, built once per lengths and cube set; read only."""
+        key = (parent_length, length, cubes)
         if key not in self._events:
             s = self._stage_of_length[parent_length]
-            cubes = (
+            built = (
                 self._block_cube(s, i, length, tau)
-                for tau in sorted_words(words)
+                for tau in sorted(cubes)
                 for i in range(1, self.k + 1)
             )
-            self._events[key] = [cube for cube in cubes if cube is not None]
+            self._events[key] = [cube for cube in built if cube is not None]
         return self._events[key]
 
     def _build_level(self, parents: CubeSet) -> dict[Cube, list[Cube]]:
@@ -164,17 +166,15 @@ class MLConstruction:
                         continue
                     if t == first_stage:
                         # Earliest admissible stage: any already-enumerated
-                        # word can witness, padded with free bits.
+                        # cube can witness, padded with free bits.
                         taus = self.coenum.cumulative(t - offset)
                     else:
-                        # Later stages only add words whose witnessing block
+                        # Later stages only add cubes whose witnessing block
                         # ends exactly at t; shorter blocks were already
                         # minimal at an earlier admissible stage.
                         taus = self.coenum.newly(t - offset)
                     for tau in taus:
                         _, care, fixed = self._block_cube(s, i, length, tau)
-                        if care >> pad:
-                            raise ValueError("a witnessing block overlaps its parent")
                         blocks.append((care, fixed))
                 if not blocks:
                     continue
@@ -217,24 +217,15 @@ class MLConstruction:
         )
 
 
-def ml_measure_bound(cert: TestCertificate, q: Dyadic, r: int) -> bool:
-    """Direct bound check: measure of level r at most q**r; needs q < 1."""
-    if q >= D_ONE:
-        raise InapplicableBoundError(
-            f"q = {q} is not below one; split the complement and use the escape sets"
-        )
-    return cert.exact_measure <= q**r
-
-
 def ml_enumerate_G(
-    construction: MLConstruction, head: frozenset[Word], head_max_len: int, m_max: int
+    construction: MLConstruction, head: frozenset[Cube], head_max_len: int, m_max: int
 ) -> list[TestCertificate]:
     """Escape sets G_0 ... G_m_max: G_m holds the members of the union chain
     with at least m head hits.
 
     A hit is a chain stage ``s > head_max_len`` (the word's length-s prefix
     is itself a chain member) at which some block ``word[s*i : s*i+|d|]``
-    equals a head word ``d``.  The words of a level cube share their chain
+    matches a head cube ``d``.  The words of a level cube share their chain
     ancestors, so each cube is split, one ancestor length at a time, into
     the pieces inside and outside that length's hit event, and each piece
     counts its hits once.  G_m is the union cover of the pieces with at
@@ -242,19 +233,21 @@ def ml_enumerate_G(
     the measure outside the head's open set.
 
     The decay bound relies on the standing hypotheses of the construction:
-    the complement enumeration is prefix-free (so a block cannot witness a
-    head hit and a tail-only chain step at once) and does not exhaust the
-    whole space.  Inputs violating either are rejected here rather than
-    allowed to surface as spurious bound violations.
+    the complement enumeration is prefix-free, its cubes' cylinders pairwise
+    disjoint (so a block cannot witness a head hit and a tail-only chain step
+    at once), and does not exhaust the whole space.  Inputs violating either
+    are rejected here rather than allowed to surface as spurious bound
+    violations.
     """
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    k = construction.k
-    if not is_prefix_free(construction.coenum.cumulative(construction.stage_max)):
+    k, budget = construction.k, construction.candidate_budget
+    enumerated = CubeSet(construction.coenum.cumulative(construction.stage_max))
+    if enumerated.overlap(budget) is not None:
         raise ValueError("escape sets require a prefix-free complement enumeration")
     if construction.q >= k:  # q is k times the complement's measure
         raise ValueError("escape sets require a target of positive measure")
-    head, budget = frozenset(head), construction.candidate_budget
+    head = frozenset(head)
     pieces: list[tuple[Cube, int]] = []  # the chain split by hit count
     # each cube of the current level, with its ancestors' lengths above head_max_len
     ancestry = {cube: () for cube in construction.level(0).cubes}
@@ -276,7 +269,7 @@ def ml_enumerate_G(
                     lengths += (cube[0],)
                 deeper.update(dict.fromkeys(construction.children(r)[cube], lengths))
         ancestry = deeper
-    decay = D_ONE - (D_ONE - measure_open(head)) ** k
+    decay = D_ONE - (D_ONE - CubeSet(union_cover(head)).measure()) ** k
     certs = []
     for m in range(m_max + 1):
         cover = CubeSet(union_cover(piece for piece, hits in pieces if hits >= m))
@@ -311,7 +304,7 @@ def ml_refined_levels(
 
     The refined level at ``u = base_r`` is the plain level; below it, each
     level-u cube is cut down to the refined pieces of its parent and to the
-    words some block of which, at the parent's length, extends a tail word.
+    words some block of which, at the parent's length, extends a tail cube.
     Each step multiplies the measure bound by ``q = k * (tail measure)``, so
     the certificate for level u carries the bound ``q**(u - base_r)``.
     """
@@ -319,7 +312,7 @@ def ml_refined_levels(
         raise ValueError("u_max must be at least base_r")
     k = construction.k
     tail = tail_coenum.cumulative(construction.stage_max)
-    q = k * measure_open(tail)
+    q = k * tail_coenum.measure(construction.stage_max)
     if q >= D_ONE:
         raise InapplicableBoundError(f"tail is not light enough: q = {q}")
 
@@ -411,7 +404,7 @@ class MLRunResult:
     path: str  # "direct" or "split"
     q: Dyadic
     level_certs: list[TestCertificate]
-    head: frozenset[Word] | None = None
+    head: frozenset[Cube] | None = None
     head_max_len: int | None = None
     tail_q: Dyadic | None = None
     g_certs: list[TestCertificate] | None = None
@@ -447,11 +440,12 @@ def ml_run(
     q = con.q
     if q < D_ONE:
         return MLRunResult("direct", q, level_certs)
-    head, head_max_len = split_tail(coenum, Fraction(1, k))
-    tail = coenum.remove_words(head)
+    head, split = split_tail(coenum, Fraction(1, k))
+    head_max_len = max((cube[0] for cube in head), default=0)
+    tail = coenum.after(split)
     g_certs = ml_enumerate_G(con, head, head_max_len, r_max if m_max is None else m_max)
     refined = ml_refined_levels(con, 0, tail, u_max if u_max is not None else r_max)
-    tail_q = k * measure_open(tail.cumulative(stage_max))
+    tail_q = k * tail.measure(stage_max)
     return MLRunResult(
         "split",
         q,

@@ -11,9 +11,9 @@ restriction is :meth:`Word.take`, and the shell order is the bijection that
 carries grids to one dimension: cube cylinders become word cylinders of the
 same measure.  The open sets, clopen targets, staged co-enumerations and
 level loop of the one-dimensional modules serve grids unchanged, and a grid
-class's shell words, read as a one-dimensional co-enumeration
-(``StagedCoEnumeration.from_words(coenum.words())``), bring the scheduled
-error-set machinery to grids.  Certificates list grid samples by their
+class's cubes of shell words, each delivered at the stage equal to its
+length in a one-dimensional co-enumeration, bring the scheduled error-set
+machinery to grids.  Certificates list grid samples by their
 shell words; :meth:`ArraySample.from_word` gives the cube a shell word
 stands for.
 """
@@ -483,8 +483,8 @@ class GridMLConstruction(MLConstruction):
     def _offset(self, s: int, i: int) -> int:
         return s
 
-    def _tau_positions(self, s: int, i: int, t: int, tau: Word) -> tuple[int, ...]:
-        return _shifted_block(self.k, _cube_side(tau.length, self.k), i - 1, s)
+    def _tau_positions(self, s: int, i: int, t: int, tau_length: int) -> tuple[int, ...]:
+        return _shifted_block(self.k, _cube_side(tau_length, self.k), i - 1, s)
 
     def level_certificate(self, r: int) -> TestCertificate:
         return self._level_certificate(r, {"dimension": self.k})

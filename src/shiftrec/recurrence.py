@@ -4,9 +4,9 @@ A sequence ``Z`` has a ``k``-recurrence witness ``n`` for a target when the
 tails of ``Z`` at positions ``n, 2n, ..., kn`` all lie in the target.  For a
 clopen target the check reads the first ``granularity`` bits of each tail;
 for an effectively closed target it reads a window as long as the stage
-budget and requires that no enumerated complement word is a prefix, so the
-verdict over-approximates true membership and can only flip to negative as
-the budget grows.
+budget and requires that no enumerated complement cube matches its head,
+so the verdict over-approximates true membership and can only flip to
+negative as the budget grows.
 """
 
 from __future__ import annotations
@@ -18,29 +18,22 @@ from typing import Iterable, Sequence, Union
 
 from .bitseq import PseudorandomSource, SequenceSource, Word, pseudorandom_prefixes
 from .certificates import JsonRecords
-from .measure import ClopenSet, StagedCoEnumeration, prefix_reduce
+from .measure import ClopenSet, CubeSet, StagedCoEnumeration, union_cover
 
 
 class Pi01Target:
     """An effectively closed target, examined at a fixed stage budget."""
 
-    __slots__ = ("coenum", "stage_budget", "complement", "_by_drop", "_gaps")
+    __slots__ = ("coenum", "stage_budget", "complement", "_gaps")
 
     def __init__(self, coenum: StagedCoEnumeration, stage_budget: int):
         if stage_budget < 0:
             raise ValueError("stage budget must be nonnegative")
-        complement = prefix_reduce(coenum.cumulative(stage_budget))
+        complement = CubeSet(union_cover(coenum.cumulative(stage_budget)))
         object.__setattr__(self, "coenum", coenum)
         object.__setattr__(self, "stage_budget", stage_budget)
         object.__setattr__(self, "complement", complement)
-        # (bits dropped from a window, complement values of that shorter length)
-        by_drop: dict[int, set[int]] = {}
-        for shorter, _, value in complement.cubes:
-            if shorter <= stage_budget:
-                by_drop.setdefault(stage_budget - shorter, set()).add(value)
-        object.__setattr__(self, "_by_drop", tuple(sorted(by_drop.items(), reverse=True)))
-        gaps = (text for text in complement.strings() if len(text) <= stage_budget)
-        object.__setattr__(self, "_gaps", tuple(sorted(gaps)))
+        object.__setattr__(self, "_gaps", tuple(sorted(complement.strings())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Pi01Target is immutable")
@@ -51,19 +44,16 @@ class Pi01Target:
         return self.stage_budget
 
     def contains_word(self, w: Word) -> bool:
-        """No enumerated complement word is a prefix of ``w``."""
+        """No enumerated complement cube's cylinder holds ``w``."""
         return not self.complement.covers(w)
 
     def contains_value(self, value: int) -> bool:
         """:meth:`contains_word` of the ``granularity``-bit word packed in ``value``."""
-        for drop, values in self._by_drop:
-            if value >> drop in values:
-                return False
-        return True
+        return not self.complement.covers(Word(value, self.stage_budget))
 
     def gap_words(self) -> tuple[str, ...]:
-        """The reduced complement's words, as sorted bit strings: a window lies
-        in the target when none of them is a prefix of it."""
+        """The complement's disjoint cubes, as sorted ``0/1/*`` strings: a
+        window lies in the target when none of them matches its head."""
         return self._gaps
 
 
@@ -98,13 +88,14 @@ _Walk = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 def _gap_walk(gaps: Sequence[str]) -> _Walk:
-    """The sorted gap words as a walk down their trie: per word, the length
-    of its common prefix with the word before, then ``(j, bit)`` for each
-    later position ``j``."""
+    """The sorted ``0/1/*`` gap words as a walk down their trie: per word, the
+    number of fixed bits in its common prefix with the word before, then
+    ``(j, bit)`` for each later position ``j`` that is not ``*``."""
     walk, previous = [], ""
     for word in gaps:
         common = len(os.path.commonprefix((word, previous)))
-        walk.append((common, tuple((j, int(word[j])) for j in range(common, len(word)))))
+        steps = tuple((j, int(word[j])) for j in range(common, len(word)) if word[j] != "*")
+        walk.append((common - word.count("*", 0, common), steps))
         previous = word
     return tuple(walk)
 
@@ -115,10 +106,11 @@ def _membership_text(stream: int, length: int, granularity: int, walk: _Walk) ->
     ``length`` bits of ``stream`` (stream bit ``i`` at bit ``i``).
 
     A gap word ``w`` matches at ``p`` where bit ``p`` of every
-    ``plane[w[j]] >> j`` is set, ``plane[1]`` being the stream and
-    ``plane[0]`` its complement; the windows in the target are those no gap
-    word matches at.  Each trie node ANDs one plane onto its parent's
-    matches (see :func:`_gap_walk`).
+    ``plane[w[j]] >> j`` is set, over its positions ``j`` that are not
+    ``*``, ``plane[1]`` being the stream and ``plane[0]`` its complement;
+    the windows in the target are those no gap word matches at.  Each trie
+    node of a fixed bit ANDs one plane onto its parent's matches (see
+    :func:`_gap_walk`).
     """
     full = (1 << length) - 1
     planes = (stream ^ full, stream)
@@ -260,15 +252,6 @@ def find_witness(query: RecurrenceQuery) -> WitnessReport:
         for i in range(1, k + 1)
     )
     return WitnessReport(n, query.n_max, checks)
-
-
-def recurrence_profile(
-    source: SequenceSource, target: Target, k_max: int, n_max: int
-) -> tuple[tuple[int, int | None], ...]:
-    """Least witness (or None) for each k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be a positive integer")
-    return tuple((k, least_witness(source, target, k, n_max)) for k in range(1, k_max + 1))
 
 
 @dataclass(frozen=True)

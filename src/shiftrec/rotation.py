@@ -55,13 +55,6 @@ def _positive_epsilon(epsilon: Fraction | str) -> Fraction:
     return eps
 
 
-def circle_norm(x: Fraction | int | str) -> Fraction:
-    """Distance from x to the nearest integer, in [0, 1/2], exactly."""
-    f = Fraction(x)
-    frac = f - math.floor(f)
-    return min(frac, 1 - frac)
-
-
 class RotationSystem:
     """The rotation angle, given exactly or by its continued fraction.
 

@@ -66,7 +66,7 @@ def schnorr_error_set(
     """Certificate for the stage-t error set.
 
     A sequence errs at stage t when some block at offset ``i * n_t`` extends
-    a complement word enumerated after stage ``n_t``.  The cover's measure
+    a complement cube enumerated after stage ``n_t``.  The cover's measure
     is exact and must stay at or below ``k * 2**-(t+v+k)``.
     """
     if not 1 <= t <= schedule.t_max:
@@ -74,11 +74,11 @@ def schnorr_error_set(
     if (k, v) != (schedule.k, schedule.v):
         raise ValueError("schedule was built for different parameters")
     nt = schedule.time(t)
-    # a late sigma at block offset i * n_t, any bits before it
+    # a late cube sigma at block offset i * n_t, any bits before it
     cubes = [
-        (i * nt + sigma.length, (1 << sigma.length) - 1, sigma.value)
+        (i * nt + m, care, value)
         for i in range(1, k + 1)
-        for sigma in coenum.late_words(nt)
+        for m, care, value in coenum.late_cubes(nt)
     ]
     cover, bound = CubeSet(union_cover(cubes)), Dyadic(k, t + v + k)
     params = {"k": k, "v": v, "t": t, "n_t": nt}

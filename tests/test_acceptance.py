@@ -7,21 +7,22 @@ scripts under scripts/ and checked against independent implementations
 PCG64 simulation for the witness-time distribution).
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from shiftrec.bitseq import ExplicitPrefixSource, Word, constant_source
+from shiftrec.bitseq import EventuallyPeriodicSource, ExplicitPrefixSource, Word
 from shiftrec.cli import main
 from shiftrec.dyadic import D_ONE, Dyadic, half_power
 from shiftrec.kurtz import KurtzSchedule, kurtz_capture, kurtz_stage_set
 from shiftrec.measure import (
     ClopenSet,
+    CubeSet,
     StagedCoEnumeration,
     is_prefix_free,
-    measure_open,
     split_tail,
 )
 from shiftrec.mltest import (
@@ -41,7 +42,6 @@ from shiftrec.recurrence import RecurrenceQuery, batch_statistics, find_witness
 from shiftrec.rotation import (
     RotationSystem,
     cf_accelerated_return,
-    circle_norm,
     dirichlet_ceiling,
     find_multi_return,
     verify_return,
@@ -55,6 +55,18 @@ from shiftrec.schnorr import (
 
 def W(text):
     return Word.from_string(text)
+
+
+def C(*texts):
+    """The ``0/1/*`` cubes spelled by ``texts``."""
+    return CubeSet.from_strings(texts).cubes
+
+
+def circle_norm(x) -> Fraction:
+    """Distance from x to the nearest integer, in [0, 1/2], exactly."""
+    f = Fraction(x)
+    frac = f - math.floor(f)
+    return min(frac, 1 - frac)
 
 
 P_ONES = ClopenSet(1, {W("1")})
@@ -132,8 +144,8 @@ def test_criterion_3_schnorr_budget():
     with criterion(3, "error-set budget", 1.0):
         coenums = [
             StagedCoEnumeration.empty(),
-            StagedCoEnumeration({2: {W("11")}, 4: {W("0000")}}),
-            StagedCoEnumeration({1: {W("1")}}),
+            StagedCoEnumeration({2: C("11"), 4: C("0000")}),
+            StagedCoEnumeration({1: C("1")}),
         ]
         for coenum in coenums:
             for k in (1, 2):
@@ -155,7 +167,7 @@ def test_criterion_3_schnorr_budget():
 def test_criterion_4_ml_certificates():
     with criterion(4, "level-set certificates", 30.0):
         # direct path: q = 1/2
-        direct = MLConstruction(StagedCoEnumeration({2: {W("11")}}), 2, 12)
+        direct = MLConstruction(StagedCoEnumeration({2: C("11")}), 2, 12)
         assert direct.q == Dyadic(1, 1)
         for r in range(4):
             cert = direct.level_certificate(r)
@@ -163,18 +175,18 @@ def test_criterion_4_ml_certificates():
             assert cert.exact_measure <= half_power(r)
 
         # split path: complement of measure 3/4 >= 1/2
-        heavy = StagedCoEnumeration({1: {W("0")}, 2: {W("11")}})
+        heavy = StagedCoEnumeration({1: C("0"), 2: C("11")})
         con = MLConstruction(heavy, 2, 12)
         assert con.q >= D_ONE
-        head, n_bound = split_tail(heavy, Fraction(1, 2))
-        tail = heavy.remove_words(head)
-        assert measure_open(tail.words()).as_fraction() < Fraction(1, 2)
-        v = D_ONE - measure_open(head)
+        head, split = split_tail(heavy, Fraction(1, 2))
+        tail = heavy.after(split)
+        assert tail.measure().as_fraction() < Fraction(1, 2)
+        v = D_ONE - CubeSet(head).measure()
         decay = D_ONE - v**2
-        g = ml_enumerate_G(con, head, n_bound, 3)
+        g = ml_enumerate_G(con, head, split, 3)
         for prev, nxt in zip(g, g[1:]):
             assert nxt.exact_measure <= decay * prev.exact_measure
-        q_tail = 2 * measure_open(tail.words())
+        q_tail = 2 * tail.measure()
         refined = ml_refined_levels(con, 0, tail, 3)
         for u, cert in enumerate(refined):
             assert is_prefix_free(cert.words)
@@ -183,11 +195,11 @@ def test_criterion_4_ml_certificates():
 
 def test_criterion_5_non_recurrence_capture():
     with criterion(5, "the all-zero sequence is captured", 5.0):
-        zeros = constant_source(0)
+        zeros = EventuallyPeriodicSource(Word(0, 0), Word(0, 1))
         for k in (1, 2, 3, 4):
             report = find_witness(RecurrenceQuery(zeros, P_ONES, k, 300))
             assert report.witness is None
-        coenum = StagedCoEnumeration({1: {W("0")}})  # complement of "starts 1"
+        coenum = StagedCoEnumeration({1: C("0")})  # complement of "starts 1"
         for k, stage_max in ((1, 15), (2, 15)):
             con = MLConstruction(coenum, k, stage_max)
             prefix = zeros.prefix(stage_max)
@@ -271,7 +283,8 @@ def test_criterion_7_multidim():
         assert cert.exact_measure == Dyadic(oracle, 4)
 
         b = StagedCoEnumeration(
-            {2: {ArraySample.from_bit_string(2, 2, "1011").word()}}, dimension=2
+            {2: CubeSet.from_words([ArraySample.from_bit_string(2, 2, "1011").word()]).cubes},
+            dimension=2,
         )
         ml_cert = GridMLConstruction(b, 5).level_certificate(1)
         assert is_prefix_free(ml_cert.words)

@@ -12,14 +12,14 @@ from shiftrec.bitseq import (
     PseudorandomSource,
     SequenceSource,
     Word,
-    all_words,
-    constant_source,
     pseudorandom_prefixes,
     shift,
     word_strings,
     words_from_strings,
 )
 from shiftrec.errors import InsufficientDataError
+from shiftrec.measure import ClopenSet
+from shiftrec.recurrence import least_witness
 
 words_strategy = st.integers(0, 20).flatmap(
     lambda n: st.integers(0, (1 << n) - 1).map(lambda v: Word(v, n))
@@ -87,12 +87,6 @@ def test_prefix_relation():
     assert Word.from_string("01").is_prefix_of(Word.from_string("0110"))
     assert not Word.from_string("11").is_prefix_of(Word.from_string("0110"))
     assert EMPTY_WORD.is_prefix_of(Word.from_string("0"))
-    assert not Word.from_string("0").is_proper_prefix_of(Word.from_string("0"))
-
-
-def test_all_words_count():
-    assert len(list(all_words(3))) == 8
-    assert list(all_words(0)) == [EMPTY_WORD]
 
 
 def test_periodic_source_prefix():
@@ -254,4 +248,54 @@ def test_file_source_rejects_mixed_ascii():
 
 
 def test_constant_source():
-    assert str(constant_source(1).prefix(4)) == "1111"
+    """A periodic source with no head and a one-bit cycle is constant."""
+    assert str(EventuallyPeriodicSource(EMPTY_WORD, Word(1, 1)).prefix(4)) == "1111"
+
+
+class _FileBitByBit(SequenceSource):
+    """A file's bytes read one bit at a time through the base class, raising
+    as a file source does at the first index past the end."""
+
+    def __init__(self, data: bytes):
+        self.data, self.length = data, 8 * len(data)
+
+    def bit(self, index: int) -> int:
+        if index >= self.length:
+            raise InsufficientDataError(
+                f"source <bytes> holds {self.length} bits, index {index} requested"
+            )
+        return self.data[index >> 3] >> (7 - (index & 7)) & 1
+
+
+def test_packed_sources_read_windows_near_and_across_the_end():
+    """A file and an explicit prefix read a window as one shift and mask of
+    their packed word, at any offset: near the end of a megabit file the
+    bits are those read one at a time, across the end the prefix pads with
+    its default bit, and the file raises at the same index with the same
+    message, so a witness search stops at the same candidate."""
+    data = random.Random(19).randbytes(125_000)
+    n = 8 * len(data)
+    file, slow = FileSource.from_bytes(data), _FileBitByBit(data)
+    prefix = ExplicitPrefixSource(file.word, 1)
+    for start, length in ((n - 10_000, 10_000), (n - 77, 13), (n - 1, 1), (0, 130), (n, 0)):
+        want = slow.window_value(start, length)
+        assert file.window_value(start, length) == want == prefix.window_value(start, length)
+        assert file.window_lsb(start, length) == slow.window_lsb(start, length)
+    for start, length in ((n - 5, 12), (n, 3), (n + 40, 1)):
+        inside = max(n - start, 0)
+        head = slow.window_value(start, inside) if inside else 0
+        assert prefix.window_value(start, length) == (head + 1 << length - inside) - 1
+        with pytest.raises(InsufficientDataError) as got:
+            file.window_value(start, length)
+        with pytest.raises(InsufficientDataError) as want:
+            slow.window_value(start, length)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"index {max(start, n)} requested")
+    # no window of the first 8,000 bits is all ones, so the search reads on
+    # until the first candidate whose window crosses the end
+    short = data[:1000]
+    target = ClopenSet.from_strings(["1" * 40])
+    for source in (FileSource.from_bytes(short), _FileBitByBit(short)):
+        with pytest.raises(InsufficientDataError) as raised:
+            least_witness(source, target, 1, 8000)
+        assert str(raised.value) == "source <bytes> holds 8000 bits, index 8000 requested"

@@ -9,7 +9,6 @@ from shiftrec.certificates import (
     JsonRecords,
     TestCertificate,
     certificates_from_json,
-    certificates_to_json,
     json_text,
     new_certificate,
     verify_certificate,
@@ -19,6 +18,11 @@ from shiftrec.errors import BoundViolationError
 from shiftrec.kurtz import kurtz_stage_set
 from shiftrec.measure import ClopenSet
 from shiftrec.multidim import ArraySample, grid_kurtz_stage_set
+
+
+def certificates_to_json(certs) -> str:
+    """A certificate file holding ``certs``, as the subcommands write one."""
+    return json_text({"certificates": [c.to_json_dict() for c in certs]})
 
 
 def W(text):

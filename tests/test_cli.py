@@ -925,11 +925,14 @@ def test_verify_rejects_malformed_cubes(cube_runs, edit, tmp_path, capsys):
 
 
 def test_verify_reads_a_level_of_many_single_word_cubes(tmp_path, capsys):
-    """A granularity-14 clopen puts 16,383 fully fixed cubes in level 1; the
-    overlap check splits them in near-linear time instead of comparing
-    every pair, so its own verify accepts them."""
+    """A class file with 16,383 words at stage 14 puts as many fully fixed
+    cubes in level 1; the overlap check splits them in near-linear time
+    instead of comparing every pair, so its own verify accepts them."""
+    words = (format(v, "014b") for v in range(1 << 14) if v != 1)
+    class_file = tmp_path / "many.txt"
+    class_file.write_text("stage 14: " + " ".join(words) + "\n")
     path = tmp_path / "out.json"
-    assert main(["mltest", "--clopen", "00000000000001", "--k", "1", "--r", "1",
+    assert main(["mltest", "--class-file", str(class_file), "--k", "1", "--r", "1",
                  "--stage-max", "14", "--out", str(path)]) == 0
     level = json.loads(path.read_text())["certificates"][1]
     assert len(level["cubes"]) == (1 << 14) - 1 and "*" not in "".join(level["cubes"])
@@ -1004,3 +1007,38 @@ def test_level_budget_counts_cubes(tmp_path, capsys):
     code, out = run_cli(capsys, "mltest", "--class-file", str(tmp_path / "M.txt"), "--k", "2",
                         "--r", "5", "--stage-max", "60")
     assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schnorr", "--clopen", "0" * 20, "--k", "1", "--t-max", "1"),
+        ("schnorr", "--clopen", "0" * 27, "--k", "1", "--t-max", "1"),
+        ("mltest", "--clopen", "0" * 28, "--k", "1"),
+        ("mltest", "--clopen", "0" * 20, "--k", "1", "--r", "1", "--stage-max", "20"),
+    ],
+    ids=["schnorr-20", "schnorr-27", "mltest-28", "mltest-20-level"],
+)
+def test_long_clopen_complements_are_their_gap_cubes(tmp_path, capsys, argv):
+    """The complement of one long word is one cube per bit, not 2^g - 1
+    words: each run ends at once, and verify accepts what it writes.  With
+    the stages to reach it, level 1 is those 20 cubes."""
+    path = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    code, out = run_cli(capsys, "verify", str(path))
+    assert code == 0 and "ok" in out
+    if argv[-1] == "20":
+        level = json.loads(path.read_text())["certificates"][1]
+        assert len(level["cubes"]) == 20 and "1" + "*" * 19 in level["cubes"]
+        assert level["exact_measure"] == f"{2**20 - 1}/2^20"
+
+
+def test_split_head_of_a_clopen_complement_lists_cubes(capsys):
+    """The split path's head is the complement's gap cubes, written as
+    ``0/1/*`` strings; they stand for the same words as before."""
+    code, out = run_cli(capsys, "mltest", "--clopen", "000", "--k", "2", "--r", "2")
+    assert code == 0
+    split = json.loads(out)["split"]
+    assert split["head"] == ["001", "01*", "1**"] and split["head_max_len"] == 3

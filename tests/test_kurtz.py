@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftrec.bitseq import ExplicitPrefixSource, PseudorandomSource, Word, constant_source
+from shiftrec.bitseq import (
+    EMPTY_WORD,
+    EventuallyPeriodicSource,
+    ExplicitPrefixSource,
+    PseudorandomSource,
+    Word,
+)
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BoundViolationError, BudgetExceededError
 from shiftrec.kurtz import (
@@ -48,7 +54,7 @@ def test_schedule_geometry():
 
 
 def test_stage_set_full_target():
-    cert = kurtz_stage_set(ClopenSet.full(1), 2, 1)
+    cert = kurtz_stage_set(ClopenSet(1, {Word(0, 1), Word(1, 1)}), 2, 1)
     assert cert.exact_measure == D_ZERO
     assert len(cert.words) == 0
 
@@ -149,10 +155,10 @@ def test_many_word_targets_take_few_cubes_or_stop_early():
 
 
 def test_capture_examples():
-    zeros = constant_source(0)
+    zeros = EventuallyPeriodicSource(EMPTY_WORD, Word(0, 1))
     for t_max in range(5):
         assert kurtz_capture(zeros, P_ONES, 1, t_max) == (True, None)
-    ones = constant_source(1)
+    ones = EventuallyPeriodicSource(EMPTY_WORD, Word(1, 1))
     assert kurtz_capture(ones, P_ONES, 1, 4) == (False, 0)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shiftrec import measure
-from shiftrec.bitseq import EMPTY_WORD, Word, all_words
+from shiftrec.bitseq import EMPTY_WORD, Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
 from shiftrec.errors import BudgetExceededError, NoCertificateError
 from shiftrec.measure import (
@@ -32,6 +32,16 @@ def words(*texts):
     return {W(t) for t in texts}
 
 
+def C(*texts):
+    """The ``0/1/*`` cubes spelled by ``texts``."""
+    return frozenset(CubeSet.from_strings(texts).cubes)
+
+
+def all_words(length):
+    """All words of the given length, in increasing packed-value order."""
+    return (Word(v, length) for v in range(1 << length))
+
+
 def oracle_measure(word_set, depth=10):
     """Count extensions at a common refinement depth."""
     depth = max([depth] + [w.length for w in word_set])
@@ -52,7 +62,7 @@ word_sets = st.lists(
 @given(word_sets)
 def test_prefix_reduction_matches_pairwise_oracle(ws):
     pool = set(ws)
-    minimal = {w for w in pool if not any(u.is_proper_prefix_of(w) for u in pool)}
+    minimal = {w for w in pool if not any(u.is_prefix_of(w) and u != w for u in pool)}
     assert prefix_reduce(ws) == CubeSet.from_words(minimal)
     assert is_prefix_free(ws) == (minimal == pool)
 
@@ -124,21 +134,32 @@ def test_prefix_reduce_examples():
 
 
 def test_clopen_complement_examples():
+    """The complement is the gap words, padded to the granularity with free
+    bits: one cube per gap word, however many words it stands for."""
     p = ClopenSet(1, words("1"))
-    assert p.complement() == ClopenSet(1, words("0"))
-    assert ClopenSet(2, set()).complement() == ClopenSet.full(2)
+    assert p.complement() == CubeSet.from_strings(["0"])
+    assert ClopenSet(2, set()).complement() == CubeSet.from_strings(["**"])
     q = ClopenSet(2, words("00", "01", "10"))
     qc = q.complement()
-    assert qc.words == words("11")
+    assert qc == CubeSet.from_strings(["11"])
     assert q.measure() == Dyadic(3, 2)
     assert qc.measure() == Dyadic(1, 2)
+    zeros = ClopenSet(40, words("0" * 40))
+    assert len(zeros.complement().cubes) == 40
+    assert zeros.complement().measure() == Dyadic((1 << 40) - 1, 40)
 
 
-@given(st.integers(1, 6), st.integers(0, 63))
+@given(st.integers(1, 10), st.integers(0, 63))
 def test_complement_measures_sum_to_one(granularity, mask):
+    """The complement's cubes are disjoint, of the granularity's length, and
+    stand for exactly the words outside the set."""
     members = [w for w in all_words(granularity) if (mask >> (w.value % 6)) & 1]
     p = ClopenSet(granularity, members)
-    assert p.measure() + p.complement().measure() == D_ONE
+    complement = p.complement()
+    assert p.measure() + complement.measure() == D_ONE
+    assert complement.overlap(1 << 20) is None
+    assert all(n == granularity for n, _, _ in complement.cubes)
+    assert set(complement.expand(1 << granularity)) == set(all_words(granularity)) - p.words
 
 
 @given(st.integers(1, 10), st.data())
@@ -180,29 +201,41 @@ def test_clopen_membership_and_errors():
 
 def test_clopen_text_roundtrip():
     p = ClopenSet(2, words("01", "11"))
-    assert ClopenSet.from_text(p.to_text()) == p
+    assert ClopenSet.from_text("granularity 2\n01\n\n11\n") == p
 
 
 def two_stage_coenum():
-    return StagedCoEnumeration({2: words("11"), 4: words("0000")})
+    return StagedCoEnumeration({2: C("11"), 4: C("0000")})
 
 
 def test_staged_validation():
     with pytest.raises(ValueError):
-        StagedCoEnumeration({2: words("111")})
+        StagedCoEnumeration({2: C("111")})
     with pytest.raises(ValueError):
-        StagedCoEnumeration({0: {EMPTY_WORD}})
+        StagedCoEnumeration({2: C("1*1")})
+    with pytest.raises(ValueError):
+        StagedCoEnumeration({0: C("")})
 
 
 def test_staged_accessors():
     b = two_stage_coenum()
-    assert b.newly(2) == words("11")
-    assert b.cumulative(3) == words("11")
-    assert b.cumulative(4) == words("11", "0000")
-    assert b.late_words(2) == words("0000")
+    assert b.newly(2) == C("11")
+    assert b.cumulative(3) == C("11")
+    assert b.cumulative(4) == C("11", "0000")
+    assert b.late_cubes(2) == C("0000")
     assert b.measure() == Dyadic(5, 4)
+    assert b.measure(3) == Dyadic(1, 2)
     assert b.support_bound == 4
-    assert b.is_prefix_free()
+
+
+def test_staged_cubes_overlap_across_stages():
+    """A later cube inside an earlier one's cylinder adds nothing to the
+    measure of the cubes delivered so far, but is its own tail."""
+    b = StagedCoEnumeration({1: C("1"), 3: C("1*0", "0*1")})
+    assert b.measure(1) == Dyadic(1, 1)
+    assert b.measure() == Dyadic(3, 2)
+    assert b.tail_modulus(1) == Dyadic(1, 1)
+    assert b.tail_modulus(2) == b.tail_modulus(1)
 
 
 def test_staged_tail_modulus_exact():
@@ -217,35 +250,35 @@ def test_modulus_soundness():
     b = two_stage_coenum()
     for t in range(6):
         for later in range(t, 6):
-            lhs = measure_open(b.cumulative(t)) + b.tail_modulus(t)
-            assert lhs >= measure_open(b.cumulative(later))
+            assert b.measure(t) + b.tail_modulus(t) >= b.measure(later)
 
 
 def test_staged_text_roundtrip():
     b = two_stage_coenum()
-    assert StagedCoEnumeration.from_text(b.to_text()) == b
+    assert StagedCoEnumeration.from_text("stage 2: 11\n\nstage 4: 0000\n") == b
+    assert StagedCoEnumeration.from_text("stage 4: 0000\nstage 2: 11 11\n") == b
     assert StagedCoEnumeration.from_text("") == StagedCoEnumeration.empty()
 
 
 def test_split_tail_examples():
     # zero tail exactly at the last delivery stage
-    heavy = words("000", "001", "010", "011", "100")  # measure 5/8
+    heavy = C("0**", "100")  # measure 5/8
     b = StagedCoEnumeration({3: heavy})
-    d, n = split_tail(b, Fraction(1, 2))
-    assert d == heavy and n == 3
+    d, t = split_tail(b, Fraction(1, 2))
+    assert d == heavy and t == 3
 
     assert split_tail(StagedCoEnumeration.empty(), Fraction(1, 2)) == (frozenset(), 0)
 
-    d, n = split_tail(two_stage_coenum(), Dyadic(1, 3))
-    assert d == words("11")
-    assert n == 2
+    d, t = split_tail(two_stage_coenum(), Dyadic(1, 3))
+    assert d == C("11")
+    assert t == 2
 
 
 def test_split_tail_least_stage():
     b = two_stage_coenum()
-    d, n = split_tail(b, Fraction(1, 2))
-    # the tail after stage 1 is 5/16 < 1/2 already, with nothing delivered yet
-    assert d == frozenset() and n == 0
+    d, t = split_tail(b, Fraction(1, 2))
+    # the tail after stage 0 is 5/16 < 1/2 already, with nothing delivered yet
+    assert d == frozenset() and t == 0
 
 
 def test_split_tail_thresholds():
@@ -255,7 +288,7 @@ def test_split_tail_thresholds():
 
 def test_split_tail_custom_modulus_no_certificate():
     b = StagedCoEnumeration(
-        {1: words("1")},
+        {1: C("1")},
         tail_modulus=lambda t: Dyadic(1, 1),
         support_bound=None,
     )
@@ -263,11 +296,15 @@ def test_split_tail_custom_modulus_no_certificate():
         split_tail(b, Fraction(1, 4), max_stage=32)
 
 
-def test_remove_words():
+def test_after_keeps_the_later_stages():
+    """The tail after a split stage is the stages after it."""
     b = two_stage_coenum()
-    tail = b.remove_words(words("11"))
-    assert tail.words() == words("0000")
+    tail = b.after(2)
+    assert tail.cumulative(4) == C("0000") and tail.stages == (4,)
     assert tail.measure() == Dyadic(1, 4)
+    assert b.after(1) == b and b.after(4) == StagedCoEnumeration.empty()
+    modulus = StagedCoEnumeration({1: C("1")}, tail_modulus=lambda t: Dyadic(1, t + 1))
+    assert modulus.after(0).tail_modulus(3) == Dyadic(1, 4)
 
 
 # --- disjoint cube covers, against brute-force expansion -----------------------

@@ -10,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from shiftrec.bitseq import EMPTY_WORD, Word, constant_source
+from shiftrec.bitseq import EMPTY_WORD, EventuallyPeriodicSource, Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic, half_power
-from shiftrec.errors import BudgetExceededError, InapplicableBoundError
+from shiftrec.errors import BudgetExceededError
 from shiftrec.measure import (
+    CubeSet,
     StagedCoEnumeration,
     is_prefix_free,
-    measure_open,
     sharp_cover,
     split_tail,
 )
@@ -25,7 +25,6 @@ from shiftrec.mltest import (
     MLConstruction,
     ml_enumerate_G,
     ml_escape_level,
-    ml_measure_bound,
     ml_refined_levels,
     ml_run,
     ml_test_refinement,
@@ -36,13 +35,23 @@ def W(text):
     return Word.from_string(text)
 
 
+def C(*texts):
+    """The ``0/1/*`` cubes spelled by ``texts``."""
+    return frozenset(CubeSet.from_strings(texts).cubes)
+
+
+def extends(text: str, cube: str) -> bool:
+    """``text`` starts with a word of the ``0/1/*`` cube."""
+    return len(text) >= len(cube) and all(c in ("*", b) for b, c in zip(text, cube))
+
+
 def level_words(con, r: int) -> set:
     """Level r expanded to its words."""
     return set(con.level(r).expand(1 << 24))
 
 
 def stages_as_strings(coenum: StagedCoEnumeration) -> dict[int, set[str]]:
-    return {t: {str(w) for w in coenum.newly(t)} for t in coenum.stages}
+    return {t: set(CubeSet(coenum.newly(t)).strings()) for t in coenum.stages}
 
 
 def oracle_levels(stages: dict[int, set[str]], k: int, r_max: int, stage_max: int):
@@ -67,7 +76,7 @@ def oracle_levels(stages: dict[int, set[str]], k: int, r_max: int, stage_max: in
                         continue
                     for i in range(1, k + 1):
                         tail = eta[s * i :]
-                        if any(tail.startswith(b) for b in cumulative(t - s * i)):
+                        if any(extends(tail, b) for b in cumulative(t - s * i)):
                             satisfied = True
                             break
                     if satisfied:
@@ -90,11 +99,7 @@ def oracle_escape_sets(levels, head: set[str], n_bound: int, k: int, m: int):
         for s in range(n_bound + 1, len(eta)):
             if eta[:s] not in union:
                 continue
-            if any(
-                s * i + len(d) <= len(eta) and eta[s * i : s * i + len(d)] == d
-                for i in range(1, k + 1)
-                for d in head
-            ):
+            if any(extends(eta[s * i :], d) for i in range(1, k + 1) for d in head):
                 hits += 1
         if hits >= m:
             qualifying.add(eta)
@@ -104,7 +109,7 @@ def oracle_escape_sets(levels, head: set[str], n_bound: int, k: int, m: int):
 def oracle_refined_levels(levels, tail: set[str], k: int, base_r: int, u_max: int):
     """Refined levels base_r .. u_max as string sets: a level-u word stays
     when its parent is in refined level u-1 and some block at the parent's
-    length extends a tail word."""
+    length extends a tail cube."""
     current = set(levels[base_r])
     refined = [current]
     for u in range(base_r + 1, u_max + 1):
@@ -113,7 +118,7 @@ def oracle_refined_levels(levels, tail: set[str], k: int, base_r: int, u_max: in
             for eta in levels[u]
             for sigma in current
             if eta.startswith(sigma)
-            and any(eta[len(sigma) * i :].startswith(d) for i in range(1, k + 1) for d in tail)
+            and any(extends(eta[len(sigma) * i :], d) for i in range(1, k + 1) for d in tail)
         }
         refined.append(current)
     return refined
@@ -137,12 +142,14 @@ def compare_levels(coenum, k, r_max, stage_max):
     return con
 
 
-B_SINGLE = StagedCoEnumeration({2: {W("11")}})
-B_ZERO = StagedCoEnumeration({1: {W("0")}})
-B_HEAVY = StagedCoEnumeration({1: {W("0")}, 2: {W("11")}})
-B_TWO = StagedCoEnumeration({2: {W("11")}, 4: {W("0000")}})
-B_THREE = StagedCoEnumeration({2: {W("10")}, 3: {W("011")}, 5: {W("00100")}})
+B_SINGLE = StagedCoEnumeration({2: C("11")})
+B_ZERO = StagedCoEnumeration({1: C("0")})
+B_HEAVY = StagedCoEnumeration({1: C("0"), 2: C("11")})
+B_TWO = StagedCoEnumeration({2: C("11"), 4: C("0000")})
+B_THREE = StagedCoEnumeration({2: C("10"), 3: C("011"), 5: C("00100")})
 B_P = StagedCoEnumeration.from_text("stage 1: 0\nstage 3: 111\nstage 6: 110110\n")
+# disjoint cubes with free bits, as a clopen complement delivers them
+B_STAR = StagedCoEnumeration({3: C("1*1"), 4: C("00*0", "011*")})
 
 # (complement, k, stage budget) for the escape-set and refined-level oracles
 SPLIT_CASES = (
@@ -155,6 +162,7 @@ SPLIT_CASES = (
     (B_P, 1, 12),
     (B_P, 2, 12),
     (B_P, 3, 11),
+    (B_STAR, 2, 12),
 )
 
 
@@ -173,6 +181,11 @@ def test_levels_match_oracle_heavy():
 
 def test_levels_match_oracle_two_stage():
     compare_levels(B_TWO, 1, 3, 9)
+
+
+def test_levels_match_oracle_cubes():
+    compare_levels(B_STAR, 1, 3, 9)
+    compare_levels(B_STAR, 2, 2, 10)
 
 
 def test_empty_complement_gives_empty_levels():
@@ -245,16 +258,17 @@ def test_measure_bounds_direct_path():
     q = con.q
     for r in range(4):
         cert = con.level_certificate(r)
-        assert ml_measure_bound(cert, q, r)
+        assert cert.exact_measure <= cert.required_bound == q**r
     assert con.level_certificate(1).exact_measure == Dyadic(1, 2)  # 1/4
     assert con.level_certificate(2).exact_measure == Dyadic(7, 6)  # 7/64
 
 
 def test_measure_bound_inapplicable_when_q_big():
+    """With q >= 1 a level promises only measure 1, so a run splits."""
     con = MLConstruction(B_HEAVY, 2, 8)
-    cert = con.level_certificate(1)
-    with pytest.raises(InapplicableBoundError):
-        ml_measure_bound(cert, con.q, 1)
+    assert con.q >= D_ONE
+    assert con.level_certificate(1).required_bound == D_ONE
+    assert ml_run(B_HEAVY, 2, 8, 1).path == "split"
 
 
 def test_nesting_every_member_extends_previous_level():
@@ -267,7 +281,7 @@ def test_nesting_every_member_extends_previous_level():
 def test_non_recurrent_capture():
     # 0^infinity never recurs into "starts with 1"; every reachable level
     # holds one of its prefixes.
-    zeros = constant_source(0)
+    zeros = EventuallyPeriodicSource(EMPTY_WORD, Word(0, 1))
     for k, stage_max in ((1, 15), (2, 15)):
         con = MLConstruction(B_ZERO, k, stage_max)
         r = 0
@@ -279,17 +293,17 @@ def test_non_recurrent_capture():
 
 
 def test_escape_sets_match_oracle():
-    head, n_bound = split_tail(B_HEAVY, Fraction(1, 2))
-    assert head == {W("0")} and n_bound == 1
+    head, split = split_tail(B_HEAVY, Fraction(1, 2))
+    assert head == C("0") and split == 1
     for coenum, k, stage_max in SPLIT_CASES:
         con = MLConstruction(coenum, k, stage_max)
         levels = oracle_levels(stages_as_strings(coenum), k, con.levels_until_empty(), stage_max)
         # every head the stages cut off, the empty one included
         for t in (0, *coenum.stages):
             head = coenum.cumulative(t)
-            n_bound = max((w.length for w in head), default=0)
+            n_bound = max((cube[0] for cube in head), default=0)
             for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 3)):
-                expect = oracle_escape_sets(levels, {str(w) for w in head}, n_bound, k, m)
+                expect = oracle_escape_sets(levels, CubeSet(head).strings(), n_bound, k, m)
                 assert cert_strings(cert) == expect, (coenum, k, t, m)
                 assert cert.exact_measure.as_fraction() == oracle_measure(expect)
     # Chains deep enough for two hits outgrow the literal level oracle; their
@@ -301,7 +315,7 @@ def test_escape_sets_match_oracle():
         certs = ml_enumerate_G(con, head, t, 3)
         assert certs[2].exact_measure > D_ZERO
         for m, cert in enumerate(certs):
-            expect = oracle_escape_sets(levels, {str(w) for w in head}, t, 1, m)
+            expect = oracle_escape_sets(levels, CubeSet(head).strings(), t, 1, m)
             assert cert_strings(cert) == expect, (coenum, t, m)
             assert cert.exact_measure.as_fraction() == oracle_measure(expect)
 
@@ -309,9 +323,9 @@ def test_escape_sets_match_oracle():
 def test_refined_levels_match_oracle():
     for coenum, k, stage_max in SPLIT_CASES:
         con = MLConstruction(coenum, k, stage_max)
-        head, _ = split_tail(coenum, Fraction(1, k))
-        tail = coenum.remove_words(head)
-        tail_words = {str(w) for w in tail.words()}
+        _, split = split_tail(coenum, Fraction(1, k))
+        tail = coenum.after(split)
+        tail_words = CubeSet(tail.cumulative(stage_max)).strings()
         levels = oracle_levels(stages_as_strings(coenum), k, 3, stage_max)
         for base_r in (0, 1):
             certs = ml_refined_levels(con, base_r, tail, 3)
@@ -325,7 +339,7 @@ def test_refined_levels_match_oracle():
 def test_escape_and_refined_budgets_count_pieces():
     con = MLConstruction(B_P, 2, 12)
     head, n_bound = split_tail(B_P, Fraction(1, 2))
-    tail = B_P.remove_words(head)
+    tail = B_P.after(n_bound)
     certs = ml_enumerate_G(con, head, n_bound, 2)
     refined = ml_refined_levels(con, 0, tail, 2)
     assert certs[1].exact_measure > D_ZERO and len(refined[2].cover.cubes) > 1
@@ -339,19 +353,19 @@ def test_escape_and_refined_budgets_count_pieces():
 def test_escape_sets_reject_bad_hypotheses():
     # a non-prefix-free enumeration, and one that exhausts the whole space,
     # both void the decay estimate and are refused up front
-    overlapping = StagedCoEnumeration({1: {W("1")}, 3: {W("101")}})
+    overlapping = StagedCoEnumeration({1: C("1"), 3: C("1*1")})
     con = MLConstruction(overlapping, 1, 8)
     with pytest.raises(ValueError):
-        ml_enumerate_G(con, frozenset({W("1")}), 1, 1)
-    full = StagedCoEnumeration({1: {W("0"), W("1")}})
+        ml_enumerate_G(con, C("1"), 1, 1)
+    full = StagedCoEnumeration({1: C("0", "1")})
     con = MLConstruction(full, 1, 8)
     with pytest.raises(ValueError):
-        ml_enumerate_G(con, frozenset({W("0")}), 1, 1)
+        ml_enumerate_G(con, C("0"), 1, 1)
 
 
 def test_escape_set_base_cases():
     con = MLConstruction(B_HEAVY, 2, 12)
-    [cert0] = ml_enumerate_G(con, frozenset({W("0")}), 1, 0)
+    [cert0] = ml_enumerate_G(con, C("0"), 1, 0)
     assert cert0.words == (EMPTY_WORD,)
     empty_head = ml_enumerate_G(con, frozenset(), 0, 1)[1]
     assert empty_head.words == ()
@@ -360,7 +374,7 @@ def test_escape_set_base_cases():
 def test_escape_decay():
     con = MLConstruction(B_HEAVY, 2, 12)
     head, n_bound = split_tail(B_HEAVY, Fraction(1, 2))
-    v = D_ONE - measure_open(head)
+    v = D_ONE - CubeSet(head).measure()
     factor = D_ONE - v**2
     prev = None
     for m, cert in enumerate(ml_enumerate_G(con, head, n_bound, 3)):
@@ -382,7 +396,7 @@ def test_escape_level_of_a_sequence():
 
 def test_refined_levels_examples():
     con = MLConstruction(B_HEAVY, 2, 12)
-    tail = B_HEAVY.remove_words({W("0")})
+    tail = B_HEAVY.after(1)
     certs = ml_refined_levels(con, 0, tail, 3)
     by_u = {c.parameters["u"]: c for c in certs}
     assert by_u[0].words == (EMPTY_WORD,)
@@ -390,7 +404,7 @@ def test_refined_levels_examples():
     assert by_u[1].exact_measure == Dyadic(1, 2)  # 1/4
     assert len(by_u[2].words) == 14
     assert by_u[2].exact_measure == Dyadic(7, 6)  # 7/64
-    q = 2 * measure_open(tail.words())
+    q = 2 * tail.measure()
     for u, cert in by_u.items():
         assert cert.exact_measure <= q**u
 
@@ -407,7 +421,7 @@ def test_refined_base_equals_plain_level():
 
 def test_refined_nesting():
     con = MLConstruction(B_HEAVY, 2, 12)
-    tail = B_HEAVY.remove_words({W("0")})
+    tail = B_HEAVY.after(1)
     certs = ml_refined_levels(con, 0, tail, 3)
     for prev, nxt in zip(certs, certs[1:]):
         for w in nxt.words:
@@ -416,7 +430,7 @@ def test_refined_nesting():
 
 def test_refinement_index_arithmetic():
     con = MLConstruction(B_HEAVY, 2, 12)
-    tail = B_HEAVY.remove_words({W("0")})
+    tail = B_HEAVY.after(1)
     certs = ml_refined_levels(con, 0, tail, 3)
     levels = ml_test_refinement(certs, Dyadic(1, 1))
     assert [(lv.j, lv.u) for lv in levels] == [(0, 0), (1, 1), (2, 2), (3, 3)]
@@ -453,7 +467,7 @@ def test_ml_run_direct():
 def test_ml_run_split():
     result = ml_run(B_HEAVY, 2, 12, 3)
     assert result.path == "split"
-    assert result.head == {W("0")}
+    assert result.head == C("0")
     assert result.tail_q == Dyadic(1, 1)
     assert all(c.passes for c in result.all_certificates())
     assert result.refinement is not None

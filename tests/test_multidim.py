@@ -42,6 +42,11 @@ def sample2(text, size):
     return ArraySample.from_bit_string(2, size, text)
 
 
+def cubes(*shell_words):
+    """The fully fixed cubes of shell words."""
+    return CubeSet.from_words(shell_words).cubes
+
+
 ONE_CELL = ArraySample(2, 1, (1,))
 ZERO_CELL = ArraySample(2, 1, (0,))
 
@@ -486,8 +491,8 @@ def oracle_grid_levels(stages: dict[int, set[str]], k: int, r_max: int, stage_ma
 def test_grid_levels_match_oracle():
     b = StagedCoEnumeration(
         {
-            1: {ONE_CELL.word()},
-            3: {ArraySample.from_bit_string(2, 3, "000010000").word()},
+            1: cubes(ONE_CELL.word()),
+            3: cubes(ArraySample.from_bit_string(2, 3, "000010000").word()),
         },
         dimension=2,
     )
@@ -503,7 +508,7 @@ def test_grid_levels_match_oracle():
 
 
 def test_grid_ml_example():
-    b = StagedCoEnumeration({2: {sample2("1011", 2).word()}}, dimension=2)
+    b = StagedCoEnumeration({2: cubes(sample2("1011", 2).word())}, dimension=2)
     cert0 = GridMLConstruction(b, 5).level_certificate(0)
     assert cert0.words == (ArraySample(2, 0, ()).word(),)
     cert1 = GridMLConstruction(b, 5).level_certificate(1)
@@ -521,12 +526,12 @@ def test_grid_ml_empty_complement():
         assert len(con.level(r)) == 0
     with pytest.raises(ValueError):
         GridMLConstruction(StagedCoEnumeration({}, dimension=0), 4)
-    one = StagedCoEnumeration({1: {ONE_CELL.word()}}, dimension=2)
+    one = StagedCoEnumeration({1: cubes(ONE_CELL.word())}, dimension=2)
     assert len(GridMLConstruction(one, 4).level(1)) == 1
 
 
 def test_grid_levels_prefix_free_and_staged():
-    b = StagedCoEnumeration({1: {ONE_CELL.word()}}, dimension=2)
+    b = StagedCoEnumeration({1: cubes(ONE_CELL.word())}, dimension=2)
     con = GridMLConstruction(b, 4, candidate_budget=1 << 24)
     for r in (1, 2):
         level = con.level(r).expand(1 << 24)
@@ -538,10 +543,11 @@ def test_grid_levels_prefix_free_and_staged():
 
 
 def test_flatten_coenum_measure_and_schedule():
-    """A grid class's shell words, read as a one-dimensional co-enumeration,
-    keep its measure and bring the scheduled machinery to grids."""
-    b = StagedCoEnumeration({2: {sample2("1011", 2).word()}}, dimension=2)
-    flat = StagedCoEnumeration.from_words(b.words())
+    """A grid class's cubes, each delivered at the stage equal to its length
+    in a one-dimensional co-enumeration, keep its measure and bring the
+    scheduled machinery to grids."""
+    b = StagedCoEnumeration({2: cubes(sample2("1011", 2).word())}, dimension=2)
+    flat = StagedCoEnumeration({n: [(n, care, value)] for n, care, value in b.newly(2)})
     assert flat.measure() == b.measure()
     # the one-dimensional scheduled machinery applies unchanged
     sched = schnorr_schedule(flat, 1, 0, 2)

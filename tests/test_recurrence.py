@@ -11,10 +11,9 @@ from shiftrec.bitseq import (
     FileSource,
     PseudorandomSource,
     Word,
-    constant_source,
 )
 from shiftrec.errors import InsufficientDataError
-from shiftrec.measure import ClopenSet, StagedCoEnumeration
+from shiftrec.measure import ClopenSet, CubeSet, StagedCoEnumeration
 from shiftrec.recurrence import (
     Pi01Target,
     RecurrenceQuery,
@@ -22,7 +21,6 @@ from shiftrec.recurrence import (
     find_witness,
     is_witness,
     least_witness,
-    recurrence_profile,
 )
 
 
@@ -30,9 +28,18 @@ def W(text):
     return Word.from_string(text)
 
 
+def C(*texts):
+    """The ``0/1/*`` cubes spelled by ``texts``."""
+    return CubeSet.from_strings(texts).cubes
+
+
+def constant_source(bit):
+    return EventuallyPeriodicSource(Word(0, 0), Word(bit, 1))
+
+
 P_ONES = ClopenSet(1, {W("1")})
 P_ZERO = ClopenSet(1, {W("0")})
-P_FULL = ClopenSet.full(1)
+P_FULL = ClopenSet(1, {W("0"), W("1")})
 
 
 def naive_least_witness(source, target, k, n_max):
@@ -124,19 +131,18 @@ def test_monotone_in_target():
 
 
 def test_profile_examples():
-    ones = constant_source(1)
-    assert recurrence_profile(ones, P_ONES, 4, 10) == tuple((k, 1) for k in range(1, 5))
+    """The least witness for each k = 1..k_max."""
 
-    alternating = EventuallyPeriodicSource.from_strings("", "10")
-    profile = recurrence_profile(alternating, P_ONES, 2, 10)
-    assert profile == ((1, 2), (2, 2))
+    def profile(source, k_max, n_max):
+        return [least_witness(source, P_ONES, k, n_max) for k in range(1, k_max + 1)]
 
-    zeros = constant_source(0)
-    assert recurrence_profile(zeros, P_ONES, 3, 100) == ((1, None), (2, None), (3, None))
+    assert profile(constant_source(1), 4, 10) == [1, 1, 1, 1]
+    assert profile(EventuallyPeriodicSource.from_strings("", "10"), 2, 10) == [2, 2]
+    assert profile(constant_source(0), 3, 100) == [None, None, None]
 
 
 def test_pi01_target_membership_and_antimonotonicity():
-    coenum = StagedCoEnumeration({1: {W("1")}, 3: {W("001")}})
+    coenum = StagedCoEnumeration({1: C("1"), 3: C("001")})
     src = EventuallyPeriodicSource.from_strings("", "001")
     # verdicts can only flip to negative as the stage budget grows
     for n in range(1, 20):
@@ -148,7 +154,7 @@ def test_pi01_target_membership_and_antimonotonicity():
 
 def test_pi01_find_witness():
     # complement enumerates every word starting 1, so the target is "starts 0..."
-    coenum = StagedCoEnumeration({1: {W("1")}})
+    coenum = StagedCoEnumeration({1: C("1")})
     target = Pi01Target(coenum, 4)
     src = ExplicitPrefixSource(W("110"), 0)
     assert find_witness(RecurrenceQuery(src, target, 1, 10)).witness == 2
@@ -197,12 +203,14 @@ def test_least_witness_validation():
 
 @st.composite
 def stage_sets(draw):
-    """A co-enumeration's stages: a few words of length t at stage t."""
-    stages = draw(st.dictionaries(st.integers(1, 6), st.just(None), max_size=3))
-    return {
-        t: {Word(v, t) for v in draw(st.sets(st.integers(0, (1 << t) - 1), max_size=3))}
-        for t in stages
-    }
+    """A co-enumeration's stages: a few cubes of length t at stage t, some
+    fully fixed and some with free bits."""
+    stages = {}
+    for t in draw(st.sets(st.integers(1, 6), max_size=3)):
+        full = (1 << t) - 1
+        cares = draw(st.lists(st.one_of(st.just(full), st.integers(0, full)), max_size=3))
+        stages[t] = {(t, care, draw(st.integers(0, full)) & care) for care in cares}
+    return stages
 
 
 @given(stage_sets(), st.integers(0, 8), st.data())
@@ -263,10 +271,11 @@ def _random_clopen(rng, g):
 
 
 def _random_pi01(rng):
-    stages = {
-        t: {Word(rng.getrandbits(t), t) for _ in range(rng.randint(1, 3))}
-        for t in rng.sample(range(1, 9), rng.randint(0, 3))
-    }
+    """Stages of one to three cubes, half of them with free bits."""
+    stages = {}
+    for t in rng.sample(range(1, 9), rng.randint(0, 3)):
+        cares = [rng.choice(((1 << t) - 1, rng.getrandbits(t))) for _ in range(rng.randint(1, 3))]
+        stages[t] = {(t, care, rng.getrandbits(t) & care) for care in cares}
     return Pi01Target(StagedCoEnumeration(stages), rng.randint(0, 12))
 
 
@@ -313,7 +322,7 @@ def test_batch_statistics_matches_the_literal_window_oracle(monkeypatch):
     monkeypatch.setattr(recurrence, "_BATCH_GROUP", 5)
     rng = random.Random(29)
     seeds = [rng.getrandbits(63) for _ in range(23)]
-    far = StagedCoEnumeration({3: {W("111")}, 7: {W("0000000")}})
+    far = StagedCoEnumeration({3: C("111"), 7: C("0000000")})
     cases = [
         (P_ONES, 4, 70),
         (_random_clopen(rng, 8), 3, 200),

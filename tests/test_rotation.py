@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,11 +14,18 @@ from shiftrec.rotation import (
     ReturnReport,
     RotationSystem,
     cf_accelerated_return,
-    circle_norm,
     dirichlet_ceiling,
     find_multi_return,
     verify_return,
 )
+
+
+def circle_norm(x) -> Fraction:
+    """Distance from x to the nearest integer, in [0, 1/2], exactly: the
+    reference the scans are checked against."""
+    f = Fraction(x)
+    frac = f - math.floor(f)
+    return min(frac, 1 - frac)
 
 
 def test_circle_norm_examples():

@@ -1,9 +1,10 @@
+from itertools import product
+
 import pytest
 
-from shiftrec.bitseq import Word, all_words
 from shiftrec.dyadic import D_ZERO, Dyadic, half_power
 from shiftrec.errors import NoCertificateError
-from shiftrec.measure import StagedCoEnumeration, measure_open
+from shiftrec.measure import CubeSet, StagedCoEnumeration, measure_open
 from shiftrec.schnorr import (
     schnorr_error_set,
     schnorr_schedule,
@@ -11,22 +12,29 @@ from shiftrec.schnorr import (
 )
 
 
-def W(text):
-    return Word.from_string(text)
+def C(*texts):
+    """The ``0/1/*`` cubes spelled by ``texts``."""
+    return CubeSet.from_strings(texts).cubes
 
 
 def two_stage():
-    return StagedCoEnumeration({2: {W("11")}, 4: {W("0000")}})
+    return StagedCoEnumeration({2: C("11"), 4: C("0000")})
+
+
+def starred():
+    """Late cubes with free bits, one of them inside an earlier cube."""
+    return StagedCoEnumeration({2: C("11"), 4: C("0**0", "11*1")})
 
 
 def oracle_error_measure(coenum, k, nt, depth):
     """Enumerate every word of the given depth and test the block condition."""
-    late = coenum.late_words(nt)
+    late = CubeSet(coenum.late_cubes(nt)).strings()
     hits = 0
-    for w in all_words(depth):
-        text = str(w)
+    for v in range(1 << depth):
+        text = format(v, f"0{depth}b")
         if any(
-            text[i * nt :].startswith(str(sigma))
+            len(text) >= i * nt + len(sigma)
+            and all(c in ("*", b) for b, c in zip(text[i * nt :], sigma))
             for i in range(1, k + 1)
             for sigma in late
         ):
@@ -41,7 +49,7 @@ def test_schedule_empty_complement():
 
 def test_schedule_zero_tail_case():
     # support exhausted by stage 3: growth constraint alone drives the schedule
-    b = StagedCoEnumeration({3: {W("000"), W("001"), W("010")}})
+    b = StagedCoEnumeration({3: C("000", "001", "010")})
     sched = schnorr_schedule(b, 1, 0, 3)
     assert sched.times[1] >= 3  # must run past the support before the tail drops
     for t in range(1, 4):
@@ -70,7 +78,7 @@ def test_schedule_minimality():
 
 def test_schedule_no_certificate():
     stubborn = StagedCoEnumeration(
-        {1: {W("1")}},
+        {1: C("1")},
         tail_modulus=lambda t: Dyadic(1, 1),
         support_bound=None,
     )
@@ -79,7 +87,7 @@ def test_schedule_no_certificate():
 
 
 def test_error_set_empty_when_fully_enumerated():
-    b = StagedCoEnumeration({1: {W("1")}})
+    b = StagedCoEnumeration({1: C("1")})
     sched = schnorr_schedule(b, 1, 0, 2)
     cert = schnorr_error_set(b, sched, 1, 0, 1)
     assert cert.exact_measure == D_ZERO
@@ -97,18 +105,14 @@ def test_error_set_two_stage_example():
 
 
 def test_error_set_bound_holds_across_levels():
-    b = two_stage()
-    for k in (1, 2):
-        for v in range(5):
-            sched = schnorr_schedule(b, k, v, 3)
-            for t in range(1, 4):
-                cert = schnorr_error_set(b, sched, k, v, t)
-                assert cert.exact_measure <= Dyadic(k, t + v + k)
-                depth = k * sched.times[t] + 4
-                if depth <= 16:
-                    assert cert.exact_measure == oracle_error_measure(
-                        b, k, sched.times[t], depth
-                    )
+    for b, k, v in product((two_stage(), starred()), (1, 2), range(5)):
+        sched = schnorr_schedule(b, k, v, 3)
+        for t in range(1, 4):
+            cert = schnorr_error_set(b, sched, k, v, t)
+            assert cert.exact_measure <= Dyadic(k, t + v + k)
+            depth = k * sched.times[t] + 4
+            if depth <= 16:
+                assert cert.exact_measure == oracle_error_measure(b, k, sched.times[t], depth)
 
 
 def test_union_bound():
