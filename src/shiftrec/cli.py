@@ -422,7 +422,10 @@ _SUBCOMMAND_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that
+    subcommand gets its flags (the others are still listed, so ``--help``
+    and an unknown name behave the same)."""
     parser = argparse.ArgumentParser(
         prog="shiftrec",
         description="Recurrence witnesses, exact cylinder measures, and "
@@ -431,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name == "verify":
-            p.add_argument("certificate", type=str)
-        _add_flags(p, _SUBCOMMAND_FLAGS[name])
+        if command in (None, name):
+            if name == "verify":
+                p.add_argument("certificate", type=str)
+            _add_flags(p, _SUBCOMMAND_FLAGS[name])
         p.set_defaults(func=fn)
     return parser
 
@@ -474,10 +478,16 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no flag but --help, so its first other
+    # argument names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         _apply_config(args)
+        seeds = getattr(args, "seed", None) or ()
+        if args.command != "recur" and len(seeds) > 1:
+            raise ValueError(f"{args.command} reads one --seed, got {len(seeds)}")
         if getattr(args, "format", None) is None:
             args.format = "json"
         return args.func(args)

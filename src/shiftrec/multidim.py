@@ -21,7 +21,7 @@ stands for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -29,7 +29,9 @@ from .bitseq import (
     EMPTY_WORD,
     Word,
     _GAMMA,
+    _MASK64,
     _mix64,
+    _mix64_lanes,
     joined_bits,
 )
 from .certificates import TestCertificate, new_certificate
@@ -38,6 +40,7 @@ from .errors import InsufficientDataError
 from .kurtz import survivor_cover
 from .measure import ClopenSet, StagedCoEnumeration, is_prefix_free, measure_open
 from .mltest import MLConstruction
+from .recurrence import _gap_hits, _gap_walk
 
 _SampleIter = Iterable["ArraySample"]
 
@@ -254,6 +257,39 @@ def all_samples(dimension: int, size: int) -> Iterator[ArraySample]:
         )
 
 
+# A lane read gives each offset of a chunk a 16-byte lane of one int: lane
+# ``i`` holds its bit at bit ``128 * i``, which leaves :func:`_mix64_lanes`
+# the room it needs.
+_LANE_BYTES = 16
+
+
+@lru_cache(maxsize=16)
+def _lanes(count: int) -> tuple[int, int, int]:
+    """For ``count`` lanes: a 1 at the bottom of each, the lane index in each,
+    and the 64-bit mask of each."""
+    ones = int.from_bytes(b"\x01".ljust(_LANE_BYTES, b"\x00") * count, "little")
+    iota = int.from_bytes(
+        b"".join(i.to_bytes(_LANE_BYTES, "little") for i in range(count)), "little"
+    )
+    return ones, iota, _MASK64 * ones
+
+
+def _lane_int(flags: bytes) -> int:
+    """The lane int whose lane ``i`` holds the bit ``flags[i]``."""
+    spread = bytearray(_LANE_BYTES * len(flags))
+    spread[::_LANE_BYTES] = flags
+    return int.from_bytes(spread, "little")
+
+
+def _set_lanes(lanes: int, count: int) -> Iterator[int]:
+    """The indices of the lanes of ``lanes`` whose bit is set, ascending."""
+    flags = lanes.to_bytes(_LANE_BYTES * count, "little")[::_LANE_BYTES]
+    i = flags.find(1)
+    while i >= 0:
+        yield i
+        i = flags.find(1, i + 1)
+
+
 class GridSource:
     """Deterministic bit field on the k-dimensional lattice."""
 
@@ -277,11 +313,22 @@ class GridSource:
         for u in _shell_cells(self.dimension, size):
             yield self.bit(u[:axis] + (u[axis] + offset,) + u[axis + 1 :])
 
-    def _check_block(self, axis: int, offset: int) -> None:
+    def face_bits(self, axis: int, size: int, lo: int, count: int) -> list[int]:
+        """The size-n blocks moved ``lo, lo + 1, ..., lo + count - 1`` cells
+        along ``axis``, read together: per cell in the block's shell order,
+        one lane int (see :func:`_lane_int`) whose lane ``i`` holds the cell's
+        bit in ``block_bits(axis, lo + i, size)``."""
+        self._check_block(axis, lo, count)
+        rows = [bytes(self.block_bits(axis, lo + i, size)) for i in range(count)]
+        return [_lane_int(bytes(column)) for column in zip(*rows)]
+
+    def _check_block(self, axis: int, offset: int, count: int = 1) -> None:
         if not 0 <= axis < self.dimension:
             raise ValueError(f"axis {axis} outside 0..{self.dimension - 1}")
         if offset < 0:
             raise ValueError("shift amount must be nonnegative")
+        if count < 1:
+            raise ValueError("a lane read needs at least one offset")
 
 
 class SeededGridSource(GridSource):
@@ -309,11 +356,7 @@ class SeededGridSource(GridSource):
             h = _mix64(h ^ (c + _GAMMA))
         return h & 1
 
-    def block_bits(self, axis: int, offset: int, size: int) -> Iterator[int]:
-        """As :meth:`GridSource.block_bits`; the mix chain through the
-        unshifted leading coordinates is hashed once per axis, size and cell,
-        and only the shifted coordinate and the ones after it per offset."""
-        self._check_block(axis, offset)
+    def _leading_chains(self, axis: int, size: int) -> list[tuple[int, int, tuple[int, ...]]]:
         chains = self._chains.get((axis, size))
         if chains is None:
             chains = []
@@ -323,11 +366,35 @@ class SeededGridSource(GridSource):
                     h = _mix64(h ^ (c + _GAMMA))
                 chains.append((h, u[axis], u[axis + 1 :]))
             self._chains[axis, size] = chains
-        for h, c, rest in chains:
+        return chains
+
+    def block_bits(self, axis: int, offset: int, size: int) -> Iterator[int]:
+        """As :meth:`GridSource.block_bits`; the mix chain through the
+        unshifted leading coordinates is hashed once per axis, size and cell,
+        and only the shifted coordinate and the ones after it per offset."""
+        self._check_block(axis, offset)
+        for h, c, rest in self._leading_chains(axis, size):
             h = _mix64(h ^ (c + offset + _GAMMA))
             for c in rest:
                 h = _mix64(h ^ (c + _GAMMA))
             yield h & 1
+
+    def face_bits(self, axis: int, size: int, lo: int, count: int) -> list[int]:
+        """As :meth:`GridSource.face_bits`, every offset's hash at once: per
+        cell, one :func:`_mix64_lanes` of the leading chain XOR the lanes'
+        ``c + lo + i + GAMMA``, and one more per coordinate after the axis."""
+        self._check_block(axis, lo, count)
+        ones, iota, lanes = _lanes(count)
+        cells = []
+        for h, c, rest in self._leading_chains(axis, size):
+            # the scalar is reduced first so that no lane overflows into the
+            # next; adding i may carry into bit 64, which the mix masks off
+            # before any product, so each lane wraps mod 2**64 as in _mix64
+            z = _mix64_lanes((((c + lo + _GAMMA) & _MASK64) * ones + iota) ^ h * ones, lanes)
+            for c in rest:
+                z = _mix64_lanes(z ^ (c + _GAMMA) * ones, lanes)
+            cells.append(z & ones)
+        return cells
 
 
 class ExplicitGridSource(GridSource):
@@ -385,25 +452,66 @@ def array_measure_open(samples: _SampleIter) -> Dyadic:
 # --- recurrence and certificates ------------------------------------------------
 
 
+# offsets of the last axis read together: the first chunk's, doubling up to the cap
+_FIRST_FACES = 64
+_MAX_FACES = 4096
+
+
 def grid_find_witness(grid: GridSource, target: ClopenSet, n_max: int) -> int | None:
     """Least n <= n_max whose k simultaneous face shifts all land in the target,
     a clopen set of the shell words of one cube size.
 
-    Each shifted block is read cell by cell against the values of the
-    target's prefixes, and abandoned at the first cell that no target word
-    agrees with up to there.  The blocks are read from the last axis to the
-    first: a seeded grid hashes a last-axis cell once past the coordinates
-    it shares with the unshifted cube, an axis-0 cell once per coordinate,
-    and which block fails first cannot change the least ``n``.
+    The last axis's blocks are read for a chunk of candidates at once, 64
+    first and doubling up to 4,096 (:meth:`GridSource.face_bits`; a seeded
+    grid hashes each cell once per chunk, as lanes of one int).  The
+    candidates whose block lies in the target are the lanes no gap word of
+    the target matches, one AND per node of the gap words' trie.  Each of
+    them, in ascending order, is then read on the other axes, from the last
+    to the first, each block cell by cell against the target's prefix
+    values and abandoned at the first cell no target word agrees with.  The
+    last axis goes first because a seeded grid hashes its cells once past
+    the coordinates they share with the unshifted cube, and which block
+    fails first cannot change the least ``n``.  A chunk whose lane read
+    raises InsufficientDataError is read candidate by candidate, so a finite
+    grid gives the same ``n``, or raises the same error, as a plain scan.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     k = grid.dimension
     n1 = _cube_side(target.granularity, k)
     prefixes = target.prefix_values()[1:]
+    walk = _gap_walk(target.gap_words())
+    lo, count = 1, _FIRST_FACES
+    while lo <= n_max:
+        count = min(count, n_max + 1 - lo)
+        try:
+            cells = grid.face_bits(k - 1, n1, lo, count)
+        except InsufficientDataError:
+            candidates, axes = range(lo, lo + count), range(k - 1, -1, -1)
+        else:
+            ones = _lanes(count)[0]
+            hit = _gap_hits(walk, ones, lambda j, bit: cells[j] if bit else ~cells[j])
+            candidates = (lo + i for i in _set_lanes(ones ^ hit, count))
+            axes = range(k - 2, -1, -1)
+        n = _first_grid_witness(grid, n1, prefixes, axes, candidates)
+        if n is not None:
+            return n
+        lo += count
+        count = min(2 * count, _MAX_FACES)
+    return None
+
+
+def _first_grid_witness(
+    grid: GridSource,
+    n1: int,
+    prefixes: Sequence[frozenset[int]],
+    axes: Iterable[int],
+    candidates: Iterable[int],
+) -> int | None:
+    """The first candidate whose size-n1 blocks on ``axes`` all spell members
+    (see :func:`_spells_member`), the axes read in the order given."""
     block_bits = grid.block_bits
-    axes = range(k - 1, -1, -1)
-    for n in range(1, n_max + 1):
+    for n in candidates:
         if all(_spells_member(block_bits(axis, n, n1), prefixes) for axis in axes):
             return n
     return None

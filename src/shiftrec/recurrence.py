@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .bitseq import PseudorandomSource, SequenceSource, Word, pseudorandom_prefixes
 from .certificates import JsonRecords
@@ -100,6 +100,20 @@ def _gap_walk(gaps: Sequence[str]) -> _Walk:
     return tuple(walk)
 
 
+def _gap_hits(walk: _Walk, full: int, plane: Callable[[int, int], int]) -> int:
+    """The positions some gap word matches at: the OR over the walk's words
+    of the AND of ``plane(j, bit)`` over their fixed positions ``j``, each
+    trie node ANDing one plane onto its parent's matches; ``full`` marks
+    every position (see :func:`_gap_walk`)."""
+    hit, stack = 0, [full]
+    for common, steps in walk:
+        del stack[common + 1 :]
+        for j, bit in steps:
+            stack.append(stack[-1] & plane(j, bit))
+        hit |= stack[-1]
+    return hit
+
+
 def _membership_text(stream: int, length: int, granularity: int, walk: _Walk) -> str:
     """Character ``p`` is ``"1"`` when the window of ``granularity`` bits at
     ``p`` lies in the target, for every ``p`` whose window fits in the
@@ -108,18 +122,12 @@ def _membership_text(stream: int, length: int, granularity: int, walk: _Walk) ->
     A gap word ``w`` matches at ``p`` where bit ``p`` of every
     ``plane[w[j]] >> j`` is set, over its positions ``j`` that are not
     ``*``, ``plane[1]`` being the stream and ``plane[0]`` its complement;
-    the windows in the target are those no gap word matches at.  Each trie
-    node of a fixed bit ANDs one plane onto its parent's matches (see
-    :func:`_gap_walk`).
+    the windows in the target are those no gap word matches at (see
+    :func:`_gap_hits`).
     """
     full = (1 << length) - 1
     planes = (stream ^ full, stream)
-    hit, stack = 0, [full]
-    for common, steps in walk:
-        del stack[common + 1 :]
-        for j, bit in steps:
-            stack.append(stack[-1] & planes[bit] >> j)
-        hit |= stack[-1]
+    hit = _gap_hits(walk, full, lambda j, bit: planes[bit] >> j)
     # the complement of hit below bit width, then a 1 at it, so that bin()
     # keeps leading zeros; read back to front, past that 1 and "0b"
     width = length - granularity + 1

@@ -473,6 +473,57 @@ def test_search_witnesses_in_csv(capsys):
     )
     assert code == 0
     assert out == "seed,dimension,n_max,witness\n7,2,4000,67\n"
+    # the long grid searches of the same step, one a witness past 2 * 10^5
+    for n_max, seed, witness in (("40000", "4", "2558"), ("1000000", "1", "220804")):
+        code, out = run_cli(
+            capsys, "grid", "--op", "witness", "--dimension", "3", "--n1", "2",
+            "--target-bits", "10110110,00000000", "--n-max", n_max, "--seed", seed,
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == f"seed,dimension,n_max,witness\n{seed},3,{n_max},{witness}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grid", "--op", "witness", "--dimension", "3", "--n1", "2",
+         "--target-bits", "10110110,00000000", "--seed", "5", "--seed", "6"),
+        ("kurtz", "--clopen", "1", "--k", "2", "--t-max", "2", "--seed", "5", "--seed", "9"),
+        ("mltest", "--clopen", "1", "--k", "2", "--seed", "5", "--seed", "9"),
+    ],
+    ids=["grid-witness", "kurtz", "mltest"],
+)
+def test_a_second_seed_is_usage_error(argv, tmp_path, capsys):
+    """A subcommand that reads one sequence refuses a second ``--seed``, on
+    the command line or as a ``--config`` list, instead of dropping it."""
+    assert main(list(argv)) == 2
+    assert "reads one --seed, got 2" in capsys.readouterr().err
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": [5, 9]}))
+    assert main([*argv[: argv.index("--seed")], "--config", str(conf)]) == 2
+    assert "reads one --seed, got 2" in capsys.readouterr().err
+    code, _ = run_cli(capsys, *argv[: argv.index("--seed") + 2])
+    assert code == 0
+
+
+def test_help_lists_every_subcommand_and_each_its_flags(capsys):
+    from shiftrec.cli import _COMMANDS, _SUBCOMMAND_FLAGS
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(_COMMANDS) + "}" in capsys.readouterr().out
+    for name, flags in _SUBCOMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"--{flag}" in out for flag in flags), name
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--k", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_cert_csv_has_fixed_column_count(capsys):

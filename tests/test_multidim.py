@@ -10,9 +10,10 @@ from itertools import product
 
 import pytest
 
-from shiftrec.bitseq import Word
+from shiftrec import multidim
+from shiftrec.bitseq import _GAMMA, Word
 from shiftrec.dyadic import D_ONE, D_ZERO, Dyadic
-from shiftrec.errors import BudgetExceededError
+from shiftrec.errors import BudgetExceededError, InsufficientDataError
 from shiftrec.measure import (
     ClopenSet,
     CubeSet,
@@ -325,6 +326,152 @@ def test_grid_find_witness_reports_a_late_witness():
     assert grid_find_witness(grid, target, 4000) == 67
     assert _grid_witness_by_shell_words(grid, target, 67) == 67
     assert grid_find_witness(grid, target, 66) is None
+
+
+def _lane_bits(value, count):
+    """The bits of ``count`` 128-bit lanes, each lane's lowest; the other
+    bits must be clear."""
+    bits = [value >> 128 * i & 1 for i in range(count)]
+    assert value == sum(b << 128 * i for i, b in enumerate(bits))
+    return bits
+
+
+# (lo, count): reads ending at the first chunk edges, a first and a second
+# chunk read whole, offsets whose c + lo + GAMMA crosses 2**64, and offsets
+# wider than a lane
+_FACE_READS = [
+    (60, 4), (62, 3), (190, 2), (130, 63), (4090, 6), (4000, 97), (1, 64), (65, 128),
+    ((1 << 64) - _GAMMA - 4, 8), ((1 << 130) + 5, 3),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n1", [1, 2, 3])
+def test_face_bits_are_the_block_bits_of_each_offset(k, n1):
+    """Lane ``i`` of cell ``j`` is cell ``j`` of ``block_bits(axis, lo + i)``,
+    on a seeded grid (lane-mixed) and through the generic read."""
+    grid = SeededGridSource(3, k)
+    for axis in range(k):
+        for lo, count in _FACE_READS:
+            blocks = [tuple(grid.block_bits(axis, lo + i, n1)) for i in range(count)]
+            expected = [list(column) for column in zip(*blocks)]
+            seeded = grid.face_bits(axis, n1, lo, count)
+            assert [_lane_bits(v, count) for v in seeded] == expected, (axis, lo)
+            assert GridSource.face_bits(grid, axis, n1, lo, count) == seeded
+
+
+def test_face_bits_of_a_finite_grid():
+    rng = random.Random(5)
+    sample = ArraySample(2, 6, tuple(rng.randint(0, 1) for _ in range(36)))
+    for default in (0, 1):
+        grid = ExplicitGridSource(sample, default)
+        for axis in (0, 1):
+            cells = grid.face_bits(axis, 2, 3, 4)
+            for i in range(4):
+                block = [_lane_bits(v, 4)[i] for v in cells]
+                assert block == list(grid.block_bits(axis, 3 + i, 2))
+    with pytest.raises(InsufficientDataError):
+        ExplicitGridSource(sample, None).face_bits(1, 2, 4, 2)  # cells at 6 on axis 1
+    assert len(ExplicitGridSource(sample, None).face_bits(1, 2, 4, 1)) == 4
+    with pytest.raises(ValueError):
+        SeededGridSource(1, 2).face_bits(0, 2, 5, 0)
+    with pytest.raises(ValueError):
+        SeededGridSource(1, 2).face_bits(2, 2, 5, 1)
+
+
+def _chunk_edges(count):
+    """The last candidate of each of the first ``count`` chunks."""
+    edges, last, size = [], 0, multidim._FIRST_FACES
+    for _ in range(count):
+        last += size
+        edges.append(last)
+        size = min(2 * size, multidim._MAX_FACES)
+    return edges
+
+
+@pytest.mark.parametrize("chunks", [(64, 4096), (2, 8)], ids=["module", "small"])
+@pytest.mark.parametrize("k, n1", [(2, 3), (3, 2)])
+def test_grid_find_witness_at_chunk_edges(chunks, k, n1, monkeypatch):
+    """A witness at the last candidate of a chunk or the first of the next is
+    found, and not one candidate early; the target holds the blocks of that
+    candidate, so a sparse target puts the least witness there."""
+    monkeypatch.setattr(multidim, "_FIRST_FACES", chunks[0])
+    monkeypatch.setattr(multidim, "_MAX_FACES", chunks[1])
+    witnesses = [n + d for n in _chunk_edges(3 if chunks[0] == 64 else 5) for d in (0, 1)]
+    for seed, n in enumerate(witnesses):
+        grid = SeededGridSource(seed, k)
+        blocks = {Word.from_bits(grid.block_bits(axis, n, n1)) for axis in range(k)}
+        target = ClopenSet(n1**k, blocks)
+        assert grid_find_witness(grid, target, 100_000) == n
+        assert _grid_witness_by_shell_words(grid, target, n) == n
+        assert grid_find_witness(grid, target, n - 1) is None
+
+
+def test_grid_find_witness_reads_doubling_chunks_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(multidim, "_FIRST_FACES", 2)
+    monkeypatch.setattr(multidim, "_MAX_FACES", 8)
+    reads = []
+
+    class Recording(SeededGridSource):
+        def face_bits(self, axis, size, lo, count):
+            reads.append((axis, lo, count))
+            return super().face_bits(axis, size, lo, count)
+
+    assert grid_find_witness(Recording(1, 2), ClopenSet(4, set()), 40) is None
+    assert reads == [(1, 1, 2), (1, 3, 4), (1, 7, 8), (1, 15, 8), (1, 23, 8), (1, 31, 8),
+                     (1, 39, 2)]
+
+
+def _grid_witness_by_candidate(grid, target, n_max):
+    """The per-candidate scan: the blocks of each n from the last axis to the
+    first, each read until its first cell that no member's prefix agrees with."""
+    k = grid.dimension
+    n1 = round(target.granularity ** (1 / k))
+    prefixes = target.prefix_values()[1:]
+    for n in range(1, n_max + 1):
+        for axis in range(k - 1, -1, -1):
+            value = 0
+            for bit, agreeing in zip(grid.block_bits(axis, n, n1), prefixes):
+                value = value << 1 | bit
+                if value not in agreeing:
+                    break
+            else:
+                continue
+            break
+        else:
+            return n
+    return None
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except InsufficientDataError as exc:
+        return f"InsufficientDataError: {exc}"
+
+
+@pytest.mark.parametrize("chunks", [(64, 4096), (2, 8)], ids=["module", "small"])
+def test_finite_grid_gives_the_per_candidate_outcome(chunks, monkeypatch):
+    """On a grid with no bits past its sample, the chunked search returns the
+    same witness, or raises the same InsufficientDataError, as reading every
+    candidate on its own."""
+    monkeypatch.setattr(multidim, "_FIRST_FACES", chunks[0])
+    monkeypatch.setattr(multidim, "_MAX_FACES", chunks[1])
+    rng = random.Random(21)
+    seen = set()
+    for trial in range(120):
+        k, n1 = rng.choice([(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+        cells = n1**k
+        size = rng.randint(n1, 40 if k == 1 else 9)
+        sample = ArraySample(k, size, tuple(rng.randint(0, 1) for _ in range(size**k)))
+        members = rng.sample(range(1 << cells), rng.randint(1, 1 << cells))
+        target = ClopenSet(cells, {Word(v, cells) for v in members})
+        grid = ExplicitGridSource(sample, None)
+        n_max = rng.randint(1, 3 * size)
+        expected = _outcome(_grid_witness_by_candidate, grid, target, n_max)
+        assert _outcome(grid_find_witness, grid, target, n_max) == expected, trial
+        seen.add(type(expected))
+    assert seen == {int, str, type(None)}
 
 
 def test_grid_kurtz_single_stage():
